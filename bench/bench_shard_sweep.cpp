@@ -32,7 +32,7 @@
 // roster_hash. Zero stale-incarnation replies, ever — the wire's epoch
 // fence makes that structural, and the drill asserts the counter stays 0.
 //
-// --smoke: fewer requests, smaller scenes, shard counts {1, 2} for phase 1;
+// --smoke: fewer requests, smaller scenes, shard counts {1, 2, 4} for phase 1;
 // asserts the same invariants so CI exercises scaling, kill, failover,
 // readmit, partition, refutation and roster convergence on every run.
 // Extra flags: --requests N (storm arrivals; default 400, smoke 120);
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
     const auto scene0_refs = load::make_scene0_refs(*scenes[0]);
 
     const std::vector<std::size_t> shard_counts =
-        args.smoke ? std::vector<std::size_t>{1, 2}
+        args.smoke ? std::vector<std::size_t>{1, 2, 4}
                    : std::vector<std::size_t>{1, 2, 4, 8};
 
     // Enough pool threads for the largest fleet to sleep its injected

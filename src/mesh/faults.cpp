@@ -1,27 +1,12 @@
 #include "mesh/faults.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace wavehpc::mesh {
 
 namespace {
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-    std::array<std::uint32_t, 256> table{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int k = 0; k < 8; ++k) {
-            c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-        }
-        table[i] = c;
-    }
-    return table;
-}
-
-constexpr auto kCrcTable = make_crc_table();
 
 /// splitmix64: full-period mix with good avalanche; one draw per key.
 [[nodiscard]] std::uint64_t mix64(std::uint64_t x) {
@@ -158,14 +143,6 @@ void for_each_piece(std::string_view body, std::size_t body_offset, char sep,
 }
 
 }  // namespace
-
-std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
-    std::uint32_t c = seed ^ 0xFFFFFFFFU;
-    for (std::byte b : data) {
-        c = kCrcTable[(c ^ static_cast<std::uint32_t>(b)) & 0xFFU] ^ (c >> 8);
-    }
-    return c ^ 0xFFFFFFFFU;
-}
 
 bool FaultPlan::enabled() const noexcept {
     return drop_probability > 0.0 || corrupt_probability > 0.0 ||

@@ -15,17 +15,16 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "base/crc32.hpp"
+
 namespace wavehpc::mesh {
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over a byte span; `seed` chains
-/// multi-span checksums: crc32(b, crc32(a)) == crc32(a ++ b).
-[[nodiscard]] std::uint32_t crc32(std::span<const std::byte> data,
-                                  std::uint32_t seed = 0);
+/// The frame CRC-32 (base/crc32.hpp), under the name mesh callers use.
+using base::crc32;
 
 /// One window of degraded wire performance: every transfer whose network
 /// entry time falls in [t_begin, t_end) takes `factor` times as long

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "base/frame.hpp"
+
 namespace wavehpc::mesh {
 
 namespace {
@@ -13,47 +15,7 @@ namespace {
 // node programs cannot swallow it.
 struct NodeFailStopSignal {};
 
-constexpr std::uint32_t kFrameMagic = 0x57485243U;  // "WHRC"
-constexpr std::size_t kFrameHeaderBytes = 12;       // magic + seq + crc
-constexpr std::size_t kAckBytes = 16;               // NIC-level ack frame
-
-void put_u32(std::byte* dst, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        dst[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFU);
-    }
-}
-
-std::uint32_t get_u32(const std::byte* src) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(src[i]) << (8 * i);
-    }
-    return v;
-}
-
-/// CRC over everything the header protects: the sequence number bytes
-/// chained with the payload (the CRC slot itself is excluded).
-std::uint32_t frame_crc(const std::vector<std::byte>& frame) {
-    const std::uint32_t seq_crc = crc32({frame.data() + 4, 4});
-    return crc32({frame.data() + kFrameHeaderBytes, frame.size() - kFrameHeaderBytes},
-                 seq_crc);
-}
-
-std::vector<std::byte> build_frame(std::uint32_t seq, std::span<const std::byte> data) {
-    std::vector<std::byte> frame(kFrameHeaderBytes + data.size());
-    put_u32(frame.data(), kFrameMagic);
-    put_u32(frame.data() + 4, seq);
-    std::copy(data.begin(), data.end(), frame.begin() + kFrameHeaderBytes);
-    // CRC covers seq + payload; it is written last, after what it protects.
-    put_u32(frame.data() + 8, frame_crc(frame));
-    return frame;
-}
-
-bool frame_valid(const std::vector<std::byte>& frame) {
-    if (frame.size() < kFrameHeaderBytes) return false;
-    if (get_u32(frame.data()) != kFrameMagic) return false;
-    return get_u32(frame.data() + 8) == frame_crc(frame);
-}
+constexpr std::size_t kAckBytes = 16;  // NIC-level ack frame
 
 std::string recv_desc(int tag, int src, const char* verb) {
     std::ostringstream os;
@@ -273,7 +235,7 @@ bool Machine::do_send_reliable(NodeCtx& ctx, int tag, int dst,
 
     const auto key = std::make_tuple(ctx.rank(), dst, tag);
     const std::uint32_t seq = rs.next_seq[key];
-    const std::vector<std::byte> frame = build_frame(seq, data);
+    const std::vector<std::byte> frame = base::build_frame(seq, data);
 
     const double data_wire =
         hop_time + static_cast<double>(frame.size()) * profile_.byte_time;
@@ -314,13 +276,17 @@ bool Machine::do_send_reliable(NodeCtx& ctx, int tag, int dst,
             // The peer's NIC went down with it: the frame is lost on
             // arrival and no ack will ever come.
         } else {
-            std::vector<std::byte> wire_frame = frame;
+            // Only a corrupted attempt needs its own copy of the frame.
+            std::vector<std::byte> corrupted;
+            std::span<const std::byte> wire_frame = frame;
             if (fd.corrupt) {
                 ++rs.injected_corruptions;
-                wire_frame[fd.flip_byte % wire_frame.size()] ^=
+                corrupted = frame;
+                corrupted[fd.flip_byte % corrupted.size()] ^=
                     static_cast<std::byte>(1U << fd.flip_bit);
+                wire_frame = corrupted;
             }
-            if (!frame_valid(wire_frame)) {
+            if (!base::frame_valid(wire_frame)) {
                 // Receiver NIC rejects the frame (CRC/magic); no ack.
                 ++peer_st.corruptions_detected;
             } else {
@@ -330,9 +296,8 @@ bool Machine::do_send_reliable(NodeCtx& ctx, int tag, int dst,
                     Message msg;
                     msg.src = ctx.rank();
                     msg.tag = tag;
-                    msg.data.assign(wire_frame.begin() +
-                                        static_cast<std::ptrdiff_t>(kFrameHeaderBytes),
-                                    wire_frame.end());
+                    const auto payload = base::frame_payload(wire_frame);
+                    msg.data.assign(payload.begin(), payload.end());
                     msg.arrival = arrival;
                     rs.mailbox[static_cast<std::size_t>(dst)].push_back(std::move(msg));
                     ctx.proc_->notify(rs.pid_of_rank[static_cast<std::size_t>(dst)]);

@@ -2,7 +2,7 @@
 
 #include <span>
 
-#include "mesh/faults.hpp"
+#include "base/crc32.hpp"
 
 namespace wavehpc::svc {
 
@@ -17,7 +17,7 @@ std::uint64_t pyramid_bytes(const core::Pyramid& pyr) noexcept {
 namespace {
 
 std::uint32_t crc_band(std::span<const float> band, std::uint32_t seed) {
-    return mesh::crc32(std::as_bytes(band), seed);
+    return base::crc32(std::as_bytes(band), seed);
 }
 
 }  // namespace

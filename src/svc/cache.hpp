@@ -27,7 +27,7 @@
 
 namespace wavehpc::svc {
 
-/// CRC-32 (mesh::crc32, IEEE 802.3) over every coefficient band of the
+/// CRC-32 (base::crc32, IEEE 802.3) over every coefficient band of the
 /// pyramid, approx last — the integrity checksum the result audit keys on.
 [[nodiscard]] std::uint32_t pyramid_crc32(const core::Pyramid& pyr) noexcept;
 

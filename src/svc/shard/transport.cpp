@@ -3,51 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "base/frame.hpp"
+
 namespace wavehpc::svc::shard {
 
 namespace {
-
-// The machine's NIC frame, byte for byte (mesh/machine.cpp): magic, seq,
-// CRC over seq bytes chained with the payload.
-constexpr std::uint32_t kFrameMagic = 0x57485243U;  // "WHRC"
-constexpr std::size_t kFrameHeaderBytes = 12;
-
-void put_u32(std::byte* dst, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-        dst[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFFU);
-    }
-}
-
-std::uint32_t get_u32(const std::byte* src) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-        v |= static_cast<std::uint32_t>(src[i]) << (8 * i);
-    }
-    return v;
-}
-
-std::uint32_t frame_crc(const std::vector<std::byte>& frame) {
-    const std::uint32_t seq_crc = mesh::crc32({frame.data() + 4, 4});
-    return mesh::crc32(
-        {frame.data() + kFrameHeaderBytes, frame.size() - kFrameHeaderBytes},
-        seq_crc);
-}
-
-std::vector<std::byte> build_frame(std::uint32_t seq,
-                                   std::span<const std::byte> data) {
-    std::vector<std::byte> frame(kFrameHeaderBytes + data.size());
-    put_u32(frame.data(), kFrameMagic);
-    put_u32(frame.data() + 4, seq);
-    std::copy(data.begin(), data.end(), frame.begin() + kFrameHeaderBytes);
-    put_u32(frame.data() + 8, frame_crc(frame));
-    return frame;
-}
-
-bool frame_valid(const std::vector<std::byte>& frame) {
-    if (frame.size() < kFrameHeaderBytes) return false;
-    if (get_u32(frame.data()) != kFrameMagic) return false;
-    return get_u32(frame.data() + 8) == frame_crc(frame);
-}
 
 [[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
     x += 0x9E3779B97F4A7C15ULL;
@@ -125,20 +85,19 @@ bool ShardTransport::send_datagram(int src, int dst, int tag,
         ++stats_.drops;
         return false;
     }
-    std::vector<std::byte> frame = build_frame(0, data);
+    std::vector<std::byte> frame = base::build_frame(0, data);
     if (fd.corrupt) {
         frame[fd.flip_byte % frame.size()] ^=
             static_cast<std::byte>(1U << fd.flip_bit);
     }
-    if (!frame_valid(frame)) {
+    if (!base::frame_valid(frame)) {
         ++stats_.corrupt_rejections;
         return false;
     }
     const auto it = sinks_.find({dst, tag});
     if (it == sinks_.end()) return false;
     ++stats_.frames_delivered;
-    it->second(src, {frame.data() + kFrameHeaderBytes,
-                     frame.size() - kFrameHeaderBytes});
+    it->second(src, base::frame_payload(frame));
     return true;
 }
 
@@ -147,7 +106,7 @@ bool ShardTransport::arq_locked(
     const std::function<void(std::span<const std::byte>)>& on_fresh) {
     Channel& ch = channels_[{src, dst, tag}];
     const std::uint32_t seq = ch.next_seq;
-    const std::vector<std::byte> frame = build_frame(seq, data);
+    const std::vector<std::byte> frame = base::build_frame(seq, data);
 
     for (int attempt = 0; attempt <= max_retries_; ++attempt) {
         if (attempt > 0) ++stats_.retransmits;
@@ -160,12 +119,16 @@ bool ShardTransport::arq_locked(
             ++stats_.drops;
             continue;
         }
-        std::vector<std::byte> wire_frame = frame;
+        // Only a corrupted attempt needs its own copy of the frame.
+        std::vector<std::byte> corrupted;
+        std::span<const std::byte> wire_frame = frame;
         if (fd.corrupt) {
-            wire_frame[fd.flip_byte % wire_frame.size()] ^=
+            corrupted = frame;
+            corrupted[fd.flip_byte % corrupted.size()] ^=
                 static_cast<std::byte>(1U << fd.flip_bit);
+            wire_frame = corrupted;
         }
-        if (!frame_valid(wire_frame)) {
+        if (!base::frame_valid(wire_frame)) {
             // Receiver NIC rejects the frame (CRC/magic); no ack.
             ++stats_.corrupt_rejections;
             continue;
@@ -173,8 +136,7 @@ bool ShardTransport::arq_locked(
         if (seq == ch.expected_seq) {
             ++ch.expected_seq;
             ++stats_.frames_delivered;
-            on_fresh({wire_frame.data() + kFrameHeaderBytes,
-                      wire_frame.size() - kFrameHeaderBytes});
+            on_fresh(base::frame_payload(wire_frame));
         } else {
             ++stats_.duplicates_suppressed;
         }

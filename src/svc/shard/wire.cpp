@@ -1,10 +1,11 @@
 #include "svc/shard/wire.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
 
-#include "mesh/faults.hpp"
+#include "base/crc32.hpp"
 
 namespace wavehpc::svc::shard::wire {
 
@@ -13,6 +14,11 @@ namespace {
 // Little-endian scalar writer/reader over a growable byte vector. The wire
 // format is explicit about byte order so the two legs (live transport,
 // mesh machine) and any future cross-process peer agree bit-for-bit.
+// Pixel planes move as one bulk copy of the host's float bytes, which are
+// the wire's little-endian IEEE-754 words only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "shard wire: bulk plane codec assumes a little-endian host");
+
 struct ByteWriter {
     std::vector<std::byte> buf;
 
@@ -26,7 +32,6 @@ struct ByteWriter {
     void u64(std::uint64_t v) {
         for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
     }
-    void f32(float v) { u32(std::bit_cast<std::uint32_t>(v)); }
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
     void bytes(std::span<const std::byte> s) {
         buf.insert(buf.end(), s.begin(), s.end());
@@ -43,6 +48,12 @@ struct ByteReader {
         if (remaining() < n) {
             throw WireError(std::string("wire: truncated ") + what);
         }
+    }
+    std::span<const std::byte> take(std::size_t n, const char* what) {
+        need(n, what);
+        const auto s = buf.subspan(pos, n);
+        pos += n;
+        return s;
     }
     std::uint8_t u8(const char* what = "u8") {
         need(1, what);
@@ -75,27 +86,45 @@ struct ByteReader {
         }
         return v;
     }
-    float f32(const char* what = "f32") {
-        return std::bit_cast<float>(u32(what));
-    }
     double f64(const char* what = "f64") {
         return std::bit_cast<double>(u64(what));
     }
 };
 
+// Fixed-size parts of the payloads, for exact buffer reservations and for
+// bounding decoded counts by the bytes that remain.
+constexpr std::size_t kImageDimsBytes = 8;      // rows u32 + cols u32
+constexpr std::size_t kRequestFixedBytes = 16;  // 8 x u8 + deadline f64
+constexpr std::size_t kReplyFixedBytes =
+    34 + 29 + 32;  // status..total_seconds + cache key + result scalars
+constexpr std::size_t kRosterEntryBytes = 17;   // u64 + f64 + u8
+
+/// Relative deadlines are clamped to +/- this many seconds (~31 years).
+constexpr double kMaxDeadlineSeconds = 1e9;
+
+[[nodiscard]] std::size_t image_wire_bytes(const core::ImageF& img) {
+    return kImageDimsBytes + img.size() * sizeof(float);
+}
+
 void write_image(ByteWriter& w, const core::ImageF& img) {
     w.u32(static_cast<std::uint32_t>(img.rows()));
     w.u32(static_cast<std::uint32_t>(img.cols()));
-    for (float v : img.flat()) w.f32(v);
+    w.bytes(std::as_bytes(img.flat()));
 }
 
 [[nodiscard]] core::ImageF read_image(ByteReader& r) {
     const std::uint32_t rows = r.u32("image rows");
     const std::uint32_t cols = r.u32("image cols");
+    // rows * cols fits in u64 but its byte count may not: bound the pixel
+    // count by what the payload still holds before multiplying or
+    // allocating anything.
     const std::uint64_t n = std::uint64_t{rows} * cols;
-    r.need(n * 4, "image pixels");
+    if (n > r.remaining() / sizeof(float)) {
+        throw WireError("wire: truncated image pixels");
+    }
     std::vector<float> data(n);
-    for (std::uint64_t i = 0; i < n; ++i) data[i] = r.f32();
+    std::ranges::copy(r.take(n * sizeof(float), "image pixels"),
+                      std::as_writable_bytes(std::span(data)).begin());
     return core::ImageF(rows, cols, std::move(data));
 }
 
@@ -140,7 +169,7 @@ std::vector<std::byte> seal(const Header& h, std::span<const std::byte> payload)
     w.u64(h.epoch);
     w.u64(h.request_id);
     w.u32(static_cast<std::uint32_t>(payload.size()));
-    w.u32(mesh::crc32(payload));
+    w.u32(base::crc32(payload));
     w.bytes(payload);
     return std::move(w.buf);
 }
@@ -172,10 +201,10 @@ Unsealed unseal(std::span<const std::byte> frame) {
         throw WireError("wire: payload size mismatch");
     }
     const auto payload = frame.subspan(kHeaderBytes);
-    if (mesh::crc32(payload) != payload_crc) {
+    if (base::crc32(payload) != payload_crc) {
         throw WireError("wire: payload CRC mismatch");
     }
-    u.payload.assign(payload.begin(), payload.end());
+    u.payload = payload;
     return u;
 }
 
@@ -193,7 +222,7 @@ std::vector<std::byte> encode_request_payload(const TransformRequest& req,
                                               Clock::time_point now) {
     if (!req.image) throw WireError("wire: request has no image");
     ByteWriter w;
-    w.buf.reserve(32 + req.image->size() * 4);
+    w.buf.reserve(kRequestFixedBytes + image_wire_bytes(*req.image));
     w.u8(static_cast<std::uint8_t>(req.taps));
     w.u8(static_cast<std::uint8_t>(req.levels));
     w.u8(static_cast<std::uint8_t>(req.boundary));
@@ -225,8 +254,12 @@ TransformRequest decode_request_payload(std::span<const std::byte> payload,
     req.progressive = r.u8("progressive") != 0;
     const double deadline_rel = r.f64("deadline");
     if (std::isfinite(deadline_rel)) {
+        // Clamp before converting: a double beyond the integer Clock's
+        // range has no defined conversion, and no request outlives this.
+        const double rel = std::clamp(deadline_rel, -kMaxDeadlineSeconds,
+                                      kMaxDeadlineSeconds);
         req.deadline = now + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(deadline_rel));
+                                 std::chrono::duration<double>(rel));
     }
     req.image = std::make_shared<const core::ImageF>(read_image(r));
     if (r.remaining() != 0) throw WireError("wire: trailing request bytes");
@@ -238,7 +271,13 @@ TransformRequest decode_request_payload(std::span<const std::byte> payload,
 std::vector<std::byte> encode_reply_payload(const TransformReply& reply) {
     if (!reply.result) throw WireError("wire: reply has no result");
     const TransformResult& res = *reply.result;
+    std::size_t size = kReplyFixedBytes + image_wire_bytes(res.pyramid.approx);
+    for (const core::DetailBands& lv : res.pyramid.levels) {
+        size += image_wire_bytes(lv.lh) + image_wire_bytes(lv.hl) +
+                image_wire_bytes(lv.hh);
+    }
     ByteWriter w;
+    w.buf.reserve(size);
     w.u8(0);  // status: value
     std::uint8_t flags = 0;
     if (reply.cache_hit) flags |= 1U;
@@ -284,10 +323,8 @@ ReplyWire decode_reply_payload(std::span<const std::byte> payload) {
         rw.is_error = true;
         rw.error_kind = static_cast<ReplyErrorKind>(r.u8("error kind"));
         const std::uint32_t n = r.u32("error message size");
-        r.need(n, "error message");
-        rw.error_message.assign(
-            reinterpret_cast<const char*>(r.buf.data() + r.pos), n);
-        r.pos += n;
+        const auto msg = r.take(n, "error message");
+        rw.error_message.assign(reinterpret_cast<const char*>(msg.data()), n);
         return rw;
     }
     if (status != 0) throw WireError("wire: bad reply status");
@@ -308,6 +345,9 @@ ReplyWire decode_reply_payload(std::span<const std::byte> payload) {
     res.crc32 = r.u32("result crc");
     res.first_band_seconds = r.f64("first band seconds");
     const std::uint32_t n_levels = r.u32("pyramid depth");
+    if (n_levels > r.remaining() / (3 * kImageDimsBytes)) {
+        throw WireError("wire: pyramid depth exceeds payload");
+    }
     res.pyramid.levels.reserve(n_levels);
     for (std::uint32_t i = 0; i < n_levels; ++i) {
         core::DetailBands lv;
@@ -340,7 +380,7 @@ void rethrow_reply_error(const ReplyWire& rw) {
 std::vector<std::byte> encode_roster_payload(
     std::span<const RosterEntry> roster) {
     ByteWriter w;
-    w.buf.reserve(4 + roster.size() * 17);
+    w.buf.reserve(4 + roster.size() * kRosterEntryBytes);
     w.u32(static_cast<std::uint32_t>(roster.size()));
     for (const RosterEntry& e : roster) {
         w.u64(e.incarnation);
@@ -354,6 +394,9 @@ std::vector<RosterEntry> decode_roster_payload(
     std::span<const std::byte> payload) {
     ByteReader r{payload};
     const std::uint32_t n = r.u32("roster size");
+    if (n > r.remaining() / kRosterEntryBytes) {
+        throw WireError("wire: roster size exceeds payload");
+    }
     std::vector<RosterEntry> roster;
     roster.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) {

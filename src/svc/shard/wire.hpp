@@ -17,7 +17,7 @@
 //     epoch   u64  sender's roster epoch at send time
 //     request_id  u64  correlates a reply with its dispatch (0 for gossip)
 //     payload_size u32
-//     payload_crc  u32  mesh::crc32 over the payload bytes
+//     payload_crc  u32  base::crc32 over the payload bytes
 //   payload (payload_size bytes)
 //
 // The same encoding serves both legs: the live in-process ShardTransport
@@ -70,9 +70,11 @@ struct Header {
 [[nodiscard]] std::vector<std::byte> seal(const Header& h,
                                           std::span<const std::byte> payload);
 
+/// A verified frame. `payload` is a view into the unsealed frame, valid
+/// only while that frame's bytes live.
 struct Unsealed {
     Header header;
-    std::vector<std::byte> payload;
+    std::span<const std::byte> payload;
 };
 
 /// Parse + verify a sealed frame; nullopt on any defect (bad magic,
@@ -80,9 +82,12 @@ struct Unsealed {
 /// corrupted frame should count as a lost message, not an error.
 [[nodiscard]] std::optional<Unsealed> try_unseal(
     std::span<const std::byte> frame);
+/// A temporary frame would die before its payload view is read.
+std::optional<Unsealed> try_unseal(const std::vector<std::byte>&&) = delete;
 
 /// Parse + verify, throwing WireError with the defect named.
 [[nodiscard]] Unsealed unseal(std::span<const std::byte> frame);
+Unsealed unseal(const std::vector<std::byte>&&) = delete;
 
 // ------------------------------------------------------------ payloads
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "mesh/collectives.hpp"
 #include "mesh/faults.hpp"
@@ -29,6 +32,57 @@ TEST(Crc32, SeedChainsSpans) {
     const auto whole = crc32(bytes_of("hello world"));
     const auto chained = crc32(bytes_of(" world"), crc32(bytes_of("hello")));
     EXPECT_EQ(whole, chained);
+}
+
+// Bit-at-a-time CRC-32: the definition, kept only here as the reference
+// the table-driven implementation must match.
+std::uint32_t crc32_bitwise(std::span<const std::byte> data, std::uint32_t seed = 0) {
+    std::uint32_t c = ~seed;
+    for (const std::byte b : data) {
+        c ^= static_cast<std::uint32_t>(b);
+        for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320U & (0U - (c & 1U)));
+    }
+    return ~c;
+}
+
+std::vector<std::byte> pattern_bytes(std::size_t n, std::uint32_t seed) {
+    std::vector<std::byte> v(n);
+    std::uint32_t x = seed;
+    for (auto& b : v) {
+        x = x * 1664525U + 1013904223U;
+        b = static_cast<std::byte>(x >> 24);
+    }
+    return v;
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryOffsetAndLength) {
+    // Offsets 0-7 walk the 8-byte step across every alignment; lengths
+    // 0-64 cover the tail-only, one-step and multi-step paths.
+    const auto buf = pattern_bytes(8 + 64, 7);
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            const std::span<const std::byte> s{buf.data() + off, len};
+            ASSERT_EQ(crc32(s), crc32_bitwise(s)) << "offset " << off << " len " << len;
+            ASSERT_EQ(crc32(s, 0xA5A5A5A5U), crc32_bitwise(s, 0xA5A5A5A5U))
+                << "seeded, offset " << off << " len " << len;
+        }
+    }
+}
+
+TEST(Crc32, MatchesBitwiseReferenceOnAPlaneSizedBuffer) {
+    // 147 KiB: one 192x192 float plane, the size a shard request carries.
+    const auto buf = pattern_bytes(192 * 192 * sizeof(float), 11);
+    EXPECT_EQ(crc32(buf), crc32_bitwise(buf));
+}
+
+TEST(Crc32, ChainedEqualsConcatenatedAtEverySplit) {
+    const auto buf = pattern_bytes(16 + 23, 3);
+    const std::span<const std::byte> all{buf};
+    const std::uint32_t whole = crc32(all);
+    for (std::size_t split = 0; split <= 16; ++split) {
+        EXPECT_EQ(crc32(all.subspan(split), crc32(all.first(split))), whole)
+            << "split " << split;
+    }
 }
 
 TEST(Crc32, DetectsEverySingleBitFlip) {

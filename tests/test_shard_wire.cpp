@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -57,7 +59,9 @@ TEST(WireFrame, SealUnsealRoundTripsEveryHeaderField) {
     EXPECT_EQ(u.header.incarnation, h.incarnation);
     EXPECT_EQ(u.header.epoch, h.epoch);
     EXPECT_EQ(u.header.request_id, h.request_id);
-    EXPECT_EQ(u.payload, payload);
+    EXPECT_TRUE(std::ranges::equal(u.payload, payload));
+    // The payload is a view into the frame, not a copy of it.
+    EXPECT_EQ(u.payload.data(), frame.data() + wire::kHeaderBytes);
 }
 
 TEST(WireFrame, RejectsTruncationBadMagicBadVersionAndPayloadCorruption) {
@@ -216,6 +220,69 @@ TEST(WireCodec, RosterPayloadRoundTripsAndRejectsTrailingBytes) {
     EXPECT_EQ(back[1].health, 2);
 
     payload.push_back(std::byte{0});
+    EXPECT_THROW((void)wire::decode_roster_payload(payload), wire::WireError);
+}
+
+// Overwrite the little-endian u32 at `offset` of an encoded payload.
+void poke_u32(std::vector<std::byte>& buf, std::size_t offset, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+        buf.at(offset + static_cast<std::size_t>(i)) =
+            static_cast<std::byte>(v >> (8 * i));
+    }
+}
+
+// Byte offsets of the first image's (rows, cols) and of the pyramid depth
+// in the payload layouts documented in DESIGN.md §16.
+constexpr std::size_t kRequestImageDims = 16;
+constexpr std::size_t kReplyPyramidDepth = 91;
+constexpr std::size_t kReplyImageDims = 95;
+
+TEST(WireCodec, ImageDimsPastThePayloadAreWireErrorsBeforeAnyAllocation) {
+    // rows = cols = 2^31: rows * cols * 4 wraps to 0 in u64, so a byte
+    // count taken before the bound would pass the truncation check and
+    // ask for a 2^62-float allocation.
+    TransformRequest req;
+    req.image = tiny_image();
+    const auto now = wavehpc::svc::Clock::now();
+    const auto request = wire::encode_request_payload(req, now);
+    for (const auto& [rows, cols] :
+         {std::pair{0x80000000U, 0x80000000U}, std::pair{0xFFFFFFFFU, 0xFFFFFFFFU},
+          std::pair{5U, 4U}, std::pair{1U, 0x40000000U}}) {
+        auto bad = request;
+        poke_u32(bad, kRequestImageDims, rows);
+        poke_u32(bad, kRequestImageDims + 4, cols);
+        EXPECT_THROW((void)wire::decode_request_payload(bad, now), wire::WireError)
+            << rows << "x" << cols;
+    }
+
+    TransformResult res;
+    wavehpc::core::DetailBands lv;
+    lv.lh = ImageF(2, 2, {1.f, 2.f, 3.f, 4.f});
+    lv.hl = lv.lh;
+    lv.hh = lv.lh;
+    res.pyramid.levels.push_back(std::move(lv));
+    res.pyramid.approx = ImageF(2, 2, {5.f, 6.f, 7.f, 8.f});
+    TransformReply reply;
+    reply.result = std::make_shared<const TransformResult>(std::move(res));
+    const auto payload = wire::encode_reply_payload(reply);
+    ASSERT_NO_THROW((void)wire::decode_reply_payload(payload));
+    for (const std::uint32_t dim : {0x80000000U, 0xFFFFFFFFU}) {
+        auto bad = payload;
+        poke_u32(bad, kReplyImageDims, dim);
+        poke_u32(bad, kReplyImageDims + 4, dim);
+        EXPECT_THROW((void)wire::decode_reply_payload(bad), wire::WireError) << dim;
+    }
+    // An inflated pyramid depth must not reserve levels it cannot read.
+    for (const std::uint32_t depth : {2U, 0x10000000U, 0xFFFFFFFFU}) {
+        auto bad = payload;
+        poke_u32(bad, kReplyPyramidDepth, depth);
+        EXPECT_THROW((void)wire::decode_reply_payload(bad), wire::WireError) << depth;
+    }
+}
+
+TEST(WireCodec, RosterSizePastThePayloadIsAWireError) {
+    auto payload = wire::encode_roster_payload(std::vector<wire::RosterEntry>(2));
+    poke_u32(payload, 0, 0xFFFFFFFFU);
     EXPECT_THROW((void)wire::decode_roster_payload(payload), wire::WireError);
 }
 

@@ -8,7 +8,10 @@
 //     every payload the sender saw acknowledged was really delivered;
 //   * perf-budget categories keep summing to the makespan under faults;
 //   * the resilient DWT returns the serial pyramid bit-for-bit even when a
-//     fuzzed plan drops frames and fail-stops a worker rank.
+//     fuzzed plan drops frames and fail-stops a worker rank;
+//   * the shard wire decoders (try_unseal, decode_request_payload,
+//     decode_reply_payload) answer any mutated frame or payload with a
+//     value, nullopt or WireError — never another exception.
 //
 // A failing case is reproduced by its printed seed:
 //   WAVEHPC_FUZZ_SEED=<seed> WAVEHPC_FUZZ_CASES=1 ./build/tests/test_transport_fuzz
@@ -17,12 +20,18 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/dwt.hpp"
 #include "core/synthetic.hpp"
 #include "mesh/machine.hpp"
+#include "svc/shard/wire.hpp"
 #include "testing/fuzz.hpp"
 #include "testing/invariants.hpp"
 #include "testing/seeds.hpp"
@@ -205,6 +214,179 @@ TEST(TransportFuzz, ResilientDwtSurvivesFuzzedPlans) {
     // The sweep must actually probe the recovery path now and then.
     EXPECT_GT(cases_with_failures, 0U)
         << "no drawn plan contained a fail-stop; widen limits or cases";
+}
+
+// ------------------------------------------------------- wire decoders
+
+namespace wire = wavehpc::svc::shard::wire;
+
+// One encoded payload with the byte offsets of its image (rows, cols)
+// pairs and, for a value reply, of its pyramid depth.
+struct WireSample {
+    wire::MsgKind kind;
+    std::vector<std::byte> payload;
+    std::vector<std::size_t> image_dims;
+    std::size_t depth_at = 0;  // 0: no pyramid depth field
+};
+
+std::vector<WireSample> wire_corpus(const wavehpc::svc::Clock::time_point now) {
+    const ImageF img = wavehpc::core::landsat_tm_like(8, 8, 3);
+    wavehpc::svc::TransformRequest req;
+    req.image = std::make_shared<const ImageF>(img);
+    std::vector<WireSample> corpus;
+    corpus.push_back({wire::MsgKind::Request, wire::encode_request_payload(req, now), {16}, 0});
+
+    wavehpc::svc::TransformResult res;
+    res.pyramid = wavehpc::core::decompose(img, FilterPair::daubechies(2), 2,
+                                           wavehpc::core::BoundaryMode::Periodic);
+    wavehpc::svc::TransformReply reply;
+    reply.result = std::make_shared<const wavehpc::svc::TransformResult>(res);
+    WireSample value{wire::MsgKind::Reply, wire::encode_reply_payload(reply), {}, 91};
+    std::size_t at = 95;  // the first image follows the fixed reply fields
+    const auto add_image = [&](const ImageF& band) {
+        value.image_dims.push_back(at);
+        at += 8 + band.size() * sizeof(float);
+    };
+    for (const auto& lv : res.pyramid.levels) {
+        add_image(lv.lh);
+        add_image(lv.hl);
+        add_image(lv.hh);
+    }
+    add_image(res.pyramid.approx);
+    corpus.push_back(std::move(value));
+    corpus.push_back({wire::MsgKind::Reply,
+                      wire::encode_reply_error_payload(wire::ReplyErrorKind::Other, "boom"),
+                      {},
+                      0});
+    return corpus;
+}
+
+void poke_u32(std::vector<std::byte>& buf, std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4 && at + i < buf.size(); ++i) {
+        buf[at + i] = static_cast<std::byte>(v >> (8 * i));
+    }
+}
+
+// A dimension or count drawn to hit the decoders' overflow and bound edges.
+std::uint32_t hostile_u32(wtest::SplitMix64& rng) {
+    switch (rng.below(4)) {
+        case 0: return 0xFFFFFFFFU;
+        case 1: return 0x80000000U;
+        case 2: return static_cast<std::uint32_t>(1U << rng.below(32));
+        default: return static_cast<std::uint32_t>(rng.next());
+    }
+}
+
+void flip_bits(std::vector<std::byte>& buf, wtest::SplitMix64& rng) {
+    if (buf.empty()) return;
+    for (std::uint64_t k = 1 + rng.below(4); k > 0; --k) {
+        buf[rng.below(buf.size())] ^= static_cast<std::byte>(1U << rng.below(8));
+    }
+}
+
+// Decode a payload as its frame's kind says, the way the shard cluster
+// does; only WireError may escape.
+void decode_as(wire::MsgKind kind, std::span<const std::byte> payload,
+               wavehpc::svc::Clock::time_point now) {
+    if (kind == wire::MsgKind::Request) {
+        (void)wire::decode_request_payload(payload, now);
+    } else if (kind == wire::MsgKind::Reply) {
+        (void)wire::decode_reply_payload(payload);
+    } else {
+        (void)wire::decode_roster_payload(payload);
+    }
+}
+
+std::string first_foreign_exception(const std::function<void()>& fn) {
+    try {
+        fn();
+    } catch (const wire::WireError&) {
+    } catch (const std::exception& e) {
+        return e.what();
+    } catch (...) {
+        return "non-std exception";
+    }
+    return "";
+}
+
+// Seeded mutation fuzzing of the shard wire decoders. Frame mutations
+// (bit flips, truncation at every header field boundary, an inflated
+// payload_size) go through try_unseal, which must answer nullopt or a
+// verified view; payload mutations (bit flips, truncation, hostile image
+// dims and pyramid depth) are resealed so they pass the CRC and reach the
+// payload decoders, which may only throw WireError.
+TEST(WireDecoderFuzz, MutatedFramesAndPayloadsOnlyFailAsWireErrors) {
+    constexpr std::size_t kMutationsPerCase = 2000;
+    // magic, version, kind, flags, src, dst, incarnation, epoch,
+    // request_id, payload_size, payload_crc, payload.
+    constexpr std::size_t kFieldStarts[] = {0, 4, 6, 7, 8, 12, 16, 24, 32, 40, 44, 48};
+    const auto now = wavehpc::svc::Clock::now();
+    const auto corpus = wire_corpus(now);
+    std::size_t decoded = 0;
+    std::size_t rejected = 0;
+    for (std::size_t i = 0; i < case_count(); ++i) {
+        const std::uint64_t seed = wtest::derive_seed(base_seed(), i);
+        wtest::SplitMix64 rng(seed);
+        for (std::size_t m = 0; m < kMutationsPerCase; ++m) {
+            const WireSample& sample = corpus[rng.below(corpus.size())];
+            wire::Header h;
+            h.kind = sample.kind;
+            h.request_id = m;
+            auto frame = wire::seal(h, sample.payload);
+            auto payload = sample.payload;
+            switch (rng.below(6)) {
+                case 0:  // bit flips anywhere in the frame
+                    flip_bits(frame, rng);
+                    break;
+                case 1: {  // truncation at a header field boundary
+                    const std::size_t cut = kFieldStarts[rng.below(std::size(kFieldStarts))];
+                    frame.resize(cut);
+                    ASSERT_FALSE(wire::try_unseal(frame)) << "cut at " << cut << "\n  " << repro(seed);
+                    break;
+                }
+                case 2: {  // inflated payload_size
+                    poke_u32(frame, 40, static_cast<std::uint32_t>(frame.size() - wire::kHeaderBytes) +
+                                            1 + static_cast<std::uint32_t>(rng.below(1U << 20)));
+                    ASSERT_FALSE(wire::try_unseal(frame)) << repro(seed);
+                    break;
+                }
+                case 3:  // payload bit flips behind a valid CRC
+                    flip_bits(payload, rng);
+                    frame = wire::seal(h, payload);
+                    break;
+                case 4:  // payload truncation behind a valid CRC
+                    payload.resize(rng.below(payload.size() + 1));
+                    frame = wire::seal(h, payload);
+                    break;
+                default: {  // hostile image dims or pyramid depth
+                    if (!sample.image_dims.empty() && (sample.depth_at == 0 || rng.below(2) == 0)) {
+                        const std::size_t at = sample.image_dims[rng.below(sample.image_dims.size())];
+                        poke_u32(payload, at + 4 * rng.below(2), hostile_u32(rng));
+                        if (rng.below(2) == 0) poke_u32(payload, at, hostile_u32(rng));
+                    } else if (sample.depth_at != 0) {
+                        poke_u32(payload, sample.depth_at, hostile_u32(rng));
+                    }
+                    frame = wire::seal(h, payload);
+                    break;
+                }
+            }
+            std::optional<wire::Unsealed> un;
+            const std::string unseal_error =
+                first_foreign_exception([&] { un = wire::try_unseal(frame); });
+            ASSERT_EQ(unseal_error, "") << "try_unseal threw\n  " << repro(seed);
+            if (!un) {
+                ++rejected;
+                continue;
+            }
+            const std::string decode_error =
+                first_foreign_exception([&] { decode_as(un->header.kind, un->payload, now); });
+            ASSERT_EQ(decode_error, "") << "decoder threw a non-WireError\n  " << repro(seed);
+            ++decoded;
+        }
+    }
+    // Both sides of the CRC must actually be exercised.
+    EXPECT_GT(decoded, 0U);
+    EXPECT_GT(rejected, 0U);
 }
 
 }  // namespace
