@@ -246,11 +246,9 @@ int main(int argc, char** argv) {
             json_path = std::string(value);
             return wavehpc::bench::Consume::kFlagAndValue;
         }
-        if (flag == "--min-speedup" && !value.empty()) {
-            char* end = nullptr;
-            const std::string text(value);
-            min_speedup = std::strtod(text.c_str(), &end);
-            if (end != nullptr && *end == '\0' && min_speedup > 0.0) {
+        if (flag == "--min-speedup") {
+            if (const auto v = wavehpc::base::parse_f64(value); v && *v > 0.0) {
+                min_speedup = *v;
                 return wavehpc::bench::Consume::kFlagAndValue;
             }
         }

@@ -12,10 +12,11 @@
 // an error (exit non-zero) so typos never silently run the full sweep.
 
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <iostream>
 #include <string_view>
+
+#include "base/parse.hpp"
 
 namespace wavehpc::bench {
 
@@ -38,19 +39,11 @@ using ExtraFlag = std::function<Consume(std::string_view flag, std::string_view 
 
 namespace detail {
 
+/// base::parse_u64 (digits only, overflow rejected) in out-parameter form.
 inline bool parse_u64(std::string_view text, std::uint64_t& out) {
-    if (text.empty()) return false;
-    constexpr std::uint64_t kMax = ~std::uint64_t{0};
-    std::uint64_t v = 0;
-    for (const char c : text) {
-        if (c < '0' || c > '9') return false;
-        const auto d = static_cast<std::uint64_t>(c - '0');
-        // Reject instead of silently wrapping: v*10 + d must fit.
-        if (v > (kMax - d) / 10) return false;
-        v = v * 10 + d;
-    }
-    out = v;
-    return true;
+    const auto v = base::parse_u64(text);
+    if (v) out = *v;
+    return v.has_value();
 }
 
 }  // namespace detail

@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
+#include <string>
+
+#include "base/knob.hpp"
 
 namespace wavehpc::core {
 
@@ -17,10 +19,10 @@ constexpr std::size_t kColTile = 512;
 // Process-wide programmatic override; Auto = defer to the environment.
 std::atomic<DwtKernel> g_default_kernel{DwtKernel::Auto};
 
-[[nodiscard]] DwtKernel env_kernel() noexcept {
-    const char* text = std::getenv("WAVEHPC_DWT_KERNEL");
+[[nodiscard]] DwtKernel env_kernel() {
+    const std::string text = base::env_text("WAVEHPC_DWT_KERNEL");
     DwtKernel k = DwtKernel::Convolve;
-    if (text != nullptr) {
+    if (!text.empty()) {
         // Unrecognized values keep the safe default (documented in README).
         (void)parse_dwt_kernel(text, k);
         if (k == DwtKernel::Auto) k = DwtKernel::Convolve;

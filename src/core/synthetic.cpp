@@ -2,20 +2,16 @@
 
 #include <cmath>
 
+#include "base/mix.hpp"
+
 namespace wavehpc::core {
 
 namespace {
 
-// splitmix64: tiny, high-quality, stateless hash — keeps the scene
-// deterministic without touching any global RNG.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
+// Stateless splitmix64 keys keep the scene deterministic without touching
+// any global RNG.
 [[nodiscard]] float hash01(std::uint64_t seed, std::int64_t gx, std::int64_t gy) noexcept {
+    using base::splitmix64;
     const std::uint64_t h = splitmix64(seed ^ splitmix64(static_cast<std::uint64_t>(gx) *
                                                          0x9e3779b97f4a7c15ULL) ^
                                        splitmix64(static_cast<std::uint64_t>(gy) + 0x7f4a7c15ULL));

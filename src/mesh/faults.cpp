@@ -1,34 +1,27 @@
 #include "mesh/faults.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "base/mix.hpp"
+#include "base/parse.hpp"
 
 namespace wavehpc::mesh {
 
 namespace {
 
-/// splitmix64: full-period mix with good avalanche; one draw per key.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-/// Uniform double in [0, 1) from the top 53 bits.
-[[nodiscard]] double u01(std::uint64_t x) {
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
+// One splitmix64 draw per key.
+using base::splitmix64;
+using base::u01;
 
 /// Independent deterministic lane per (link rule, frame index): link draws
 /// never consume from the plan-wide decide() stream.
 [[nodiscard]] std::uint64_t link_draw(std::uint64_t seed, std::size_t rule,
                                       std::uint64_t index, unsigned lane) {
     const std::uint64_t rule_key =
-        mix64(seed ^ (static_cast<std::uint64_t>(rule) * 0x9E3779B97F4A7C15ULL +
-                      0x4C494E4BULL));  // "LINK"
-    return mix64(rule_key ^ (index * 4 + lane));
+        splitmix64(seed ^ (static_cast<std::uint64_t>(rule) * 0x9E3779B97F4A7C15ULL +
+                           0x4C494E4BULL));  // "LINK"
+    return splitmix64(rule_key ^ (index * 4 + lane));
 }
 
 // ------------------------------------------------------------- spec parsing
@@ -44,13 +37,9 @@ namespace {
                                      std::size_t offset,
                                      const std::string& what) {
     if (token.empty()) parse_fail("empty " + what, token, offset);
-    const std::string buf(token);
-    char* end = nullptr;
-    const double v = std::strtod(buf.c_str(), &end);
-    if (end != buf.c_str() + buf.size()) {
-        parse_fail("invalid " + what, token, offset);
-    }
-    return v;
+    const auto v = base::parse_f64(token);
+    if (!v) parse_fail("invalid " + what, token, offset);
+    return *v;
 }
 
 [[nodiscard]] double parse_probability_at(std::string_view token,
@@ -60,16 +49,22 @@ namespace {
     return v;
 }
 
-[[nodiscard]] std::uint64_t parse_u64_at(std::string_view token,
-                                         std::size_t offset,
-                                         const std::string& what) {
+/// Unsigned decimal token no larger than `max` (the type it is stored in).
+[[nodiscard]] std::uint64_t parse_u64_at(
+    std::string_view token, std::size_t offset, const std::string& what,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
     if (token.empty()) parse_fail("empty " + what, token, offset);
-    std::uint64_t v = 0;
-    for (char c : token) {
-        if (c < '0' || c > '9') parse_fail("invalid " + what, token, offset);
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return v;
+    const auto v = base::parse_u64(token);
+    if (!v) parse_fail("invalid " + what, token, offset);
+    if (*v > max) parse_fail(what + " out of range", token, offset);
+    return *v;
+}
+
+/// Non-negative int token: ranks and tags.
+[[nodiscard]] int parse_int_at(std::string_view token, std::size_t offset,
+                               const std::string& what) {
+    return static_cast<int>(
+        parse_u64_at(token, offset, what, std::numeric_limits<int>::max()));
 }
 
 /// Millisecond integer token → seconds.
@@ -82,7 +77,7 @@ namespace {
 /// Rank token: '*' = wildcard, else a non-negative integer.
 [[nodiscard]] int parse_rank_at(std::string_view token, std::size_t offset) {
     if (token == "*") return -1;
-    return static_cast<int>(parse_u64_at(token, offset, "rank"));
+    return parse_int_at(token, offset, "rank");
 }
 
 /// Split `body` on `sep`, invoking fn(piece, offset_of_piece_in_spec).
@@ -117,8 +112,7 @@ void for_each_piece(std::string_view body, std::size_t body_offset, char sep,
     std::size_t pair_off = offsets[0];
     const std::size_t at = pair.find('@');
     if (at != std::string_view::npos) {
-        lf.tag = static_cast<int>(
-            parse_u64_at(pair.substr(at + 1), pair_off + at + 1, "tag"));
+        lf.tag = parse_int_at(pair.substr(at + 1), pair_off + at + 1, "tag");
         pair = pair.substr(0, at);
     }
     const std::size_t gt = pair.find('>');
@@ -157,15 +151,15 @@ FaultDecision FaultPlan::decide(std::uint64_t index) const {
         return d;
     }
     if (drop_probability > 0.0 &&
-        u01(mix64(seed ^ (index * 2 + 0))) < drop_probability) {
+        u01(splitmix64(seed ^ (index * 2 + 0))) < drop_probability) {
         d.drop = true;
         return d;
     }
     if (corrupt_probability > 0.0) {
-        const std::uint64_t h = mix64(seed ^ (index * 2 + 1));
+        const std::uint64_t h = splitmix64(seed ^ (index * 2 + 1));
         if (u01(h) < corrupt_probability) {
             d.corrupt = true;
-            const std::uint64_t h2 = mix64(h);
+            const std::uint64_t h2 = splitmix64(h);
             d.flip_byte = static_cast<std::size_t>(h2 >> 3);
             d.flip_bit = static_cast<unsigned>(h2 & 7U);
         }
@@ -188,7 +182,7 @@ FaultDecision FaultPlan::decide_frame(std::uint64_t index, int src, int dst,
             const std::uint64_t h = link_draw(seed, r, index, 1);
             if (u01(h) < lf.corrupt_probability) {
                 d.corrupt = true;
-                const std::uint64_t h2 = mix64(h);
+                const std::uint64_t h2 = splitmix64(h);
                 d.flip_byte = static_cast<std::size_t>(h2 >> 3);
                 d.flip_bit = static_cast<unsigned>(h2 & 7U);
             }
@@ -248,8 +242,7 @@ FaultPlan FaultPlan::parse(std::string_view spec, std::uint64_t seed) {
                     parse_fail("fail event needs RANK:AT_MS", p, o);
                 }
                 NodeFailure nf;
-                nf.rank = static_cast<int>(
-                    parse_u64_at(p.substr(0, colon), o, "rank"));
+                nf.rank = parse_int_at(p.substr(0, colon), o, "rank");
                 nf.at = parse_millis_at(p.substr(colon + 1), o + colon + 1);
                 plan.failures.push_back(nf);
             });

@@ -28,6 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include "base/mix.hpp"
+
 namespace wavehpc::sim {
 
 class Engine;
@@ -106,14 +108,14 @@ public:
 /// re-running with the same seed.
 class SeededTieBreak final : public SchedulePolicy {
 public:
-    explicit SeededTieBreak(std::uint64_t seed) : seed_(seed), state_(seed) {}
+    explicit SeededTieBreak(std::uint64_t seed) : seed_(seed), rng_(seed) {}
     std::size_t choose(std::span<const std::size_t> tied) override;
     [[nodiscard]] std::string describe() const override;
     [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
 private:
     std::uint64_t seed_;
-    std::uint64_t state_;
+    base::SplitMix64 rng_;
 };
 
 class Engine {

@@ -1,33 +1,20 @@
 #include "svc/arena.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <utility>
 
+#include "base/knob.hpp"
+
 namespace wavehpc::svc {
-
-namespace {
-
-std::uint64_t arena_env_u64(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return std::max<std::uint64_t>(1, v);
-}
-
-}  // namespace
 
 ArenaConfig ArenaConfig::from_env() {
     ArenaConfig cfg;
-    cfg.arena_bytes = arena_env_u64("WAVEHPC_SVC_ARENA_BYTES", cfg.arena_bytes);
-    cfg.slab_classes = static_cast<std::size_t>(
-        arena_env_u64("WAVEHPC_SVC_ARENA_SLAB_CLASSES", cfg.slab_classes));
-    // Guard the shift below: 63 classes of >= 1 float already covers any
-    // addressable buffer.
-    cfg.slab_classes = std::min<std::size_t>(cfg.slab_classes, 48);
+    cfg.arena_bytes = base::env_u64("WAVEHPC_SVC_ARENA_BYTES", cfg.arena_bytes, 1);
+    // At most 48 classes guards the class-size shift: 63 classes of >= 1
+    // float already covers any addressable buffer.
+    cfg.slab_classes =
+        base::env_u64("WAVEHPC_SVC_ARENA_SLAB_CLASSES", cfg.slab_classes, 1, 48);
     return cfg;
 }
 

@@ -53,9 +53,8 @@ struct ArenaConfig {
     /// class (min_slab_floats << (slab_classes-1)) fall back to the heap.
     std::size_t min_slab_floats = 4096;
 
-    /// Defaults overridden by WAVEHPC_SVC_ARENA_BYTES /
-    /// WAVEHPC_SVC_ARENA_SLAB_CLASSES (unset or unparsable keep the
-    /// default; zeroes clamp to 1).
+    /// Defaults overridden by WAVEHPC_SVC_ARENA_BYTES (>= 1) /
+    /// WAVEHPC_SVC_ARENA_SLAB_CLASSES (1-48); base/knob.hpp policy.
     [[nodiscard]] static ArenaConfig from_env();
 };
 

@@ -2,26 +2,21 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <new>
 #include <thread>
+
+#include "base/knob.hpp"
+#include "base/mix.hpp"
+#include "base/parse.hpp"
 
 namespace wavehpc::svc {
 
 namespace {
 
-/// splitmix64 finalizer — the same mix mesh::FaultPlan draws with.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-[[nodiscard]] double u01(std::uint64_t x) {
-    return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
+// The same splitmix64 draws mesh::FaultPlan makes.
+using base::splitmix64;
+using base::u01;
 
 // Independent per-fault lanes: one draw per (seed, index, lane).
 enum Lane : std::uint64_t {
@@ -34,7 +29,7 @@ enum Lane : std::uint64_t {
 
 [[nodiscard]] std::uint64_t lane_draw(std::uint64_t seed, std::uint64_t index,
                                       std::uint64_t lane) {
-    return mix64(seed ^ (index * 8 + lane));
+    return splitmix64(seed ^ (index * 8 + lane));
 }
 
 /// Parse errors name the offending token AND its byte offset in the spec
@@ -49,24 +44,20 @@ enum Lane : std::uint64_t {
 
 [[nodiscard]] double parse_probability(std::string_view key, std::string_view text,
                                        std::size_t off) {
-    char* end = nullptr;
-    const std::string owned(text);
-    const double v = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size() || !(v >= 0.0) || v > 1.0) {
+    const auto v = base::parse_f64(text);
+    if (!v || *v < 0.0 || *v > 1.0) {
         parse_fail(key, "needs a probability in [0, 1]", text, off);
     }
-    return v;
+    return *v;
 }
 
 [[nodiscard]] double parse_millis(std::string_view key, std::string_view text,
                                   std::size_t off) {
-    char* end = nullptr;
-    const std::string owned(text);
-    const double v = std::strtod(owned.c_str(), &end);
-    if (end != owned.c_str() + owned.size() || !(v >= 0.0)) {
+    const auto v = base::parse_f64(text);
+    if (!v || *v < 0.0) {
         parse_fail(key, "needs a non-negative millisecond value", text, off);
     }
-    return v * 1e-3;
+    return *v * 1e-3;
 }
 
 void sleep_seconds(double seconds) {
@@ -79,14 +70,9 @@ void sleep_seconds(double seconds) {
     if (num.empty()) {
         parse_fail(key, "has an empty numeric field", num, off);
     }
-    std::uint64_t v = 0;
-    for (const char c : num) {
-        if (c < '0' || c > '9') {
-            parse_fail(key, "needs unsigned integers", num, off);
-        }
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return v;
+    const auto v = base::parse_u64(num);
+    if (!v) parse_fail(key, "needs unsigned integers", num, off);
+    return *v;
 }
 
 /// One SHARD:START_MS:DURATION_MS[:STALL_MS] entry of a shard-event list.
@@ -177,7 +163,7 @@ ChaosDecision ChaosPlan::decide(std::uint64_t index) const {
         const std::uint64_t h = lane_draw(seed, index, kCorruptLane);
         if (u01(h) < corrupt_probability) {
             d.corrupt = true;
-            const std::uint64_t h2 = mix64(h);
+            const std::uint64_t h2 = splitmix64(h);
             d.corrupt_word = h2 >> 5;
             d.corrupt_bit = static_cast<unsigned>(h2 & 31U);
         }
@@ -242,15 +228,12 @@ ChaosPlan ChaosPlan::parse(std::string_view spec, std::uint64_t seed) {
                 if (colon == std::string_view::npos) colon = value.size();
                 const std::string_view num = value.substr(p, colon - p);
                 if (!num.empty()) {
-                    std::uint64_t v = 0;
-                    for (const char c : num) {
-                        if (c < '0' || c > '9') {
-                            parse_fail(key, "needs ':'-separated indices", num,
-                                       value_off + p);
-                        }
-                        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+                    const auto v = base::parse_u64(num);
+                    if (!v) {
+                        parse_fail(key, "needs ':'-separated indices", num,
+                                   value_off + p);
                     }
-                    plan.compute_error_exact.push_back(v);
+                    plan.compute_error_exact.push_back(*v);
                 }
                 p = colon + 1;
             }
@@ -268,16 +251,9 @@ ChaosPlan ChaosPlan::parse(std::string_view spec, std::uint64_t seed) {
 }
 
 ChaosPlan ChaosPlan::from_env() {
-    const char* spec = std::getenv("WAVEHPC_CHAOS_PLAN");
-    if (spec == nullptr || *spec == '\0') return {};
-    std::uint64_t seed = 1;
-    if (const char* raw = std::getenv("WAVEHPC_CHAOS_SEED");
-        raw != nullptr && *raw != '\0') {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(raw, &end, 10);
-        if (end != raw && *end == '\0') seed = v;
-    }
-    return parse(spec, seed);
+    const std::string spec = base::env_text("WAVEHPC_CHAOS_PLAN");
+    if (spec.empty()) return {};
+    return parse(spec, base::env_u64("WAVEHPC_CHAOS_SEED", 1, 0));
 }
 
 void ChaosEngine::set_plan(ChaosPlan plan) {

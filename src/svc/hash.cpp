@@ -2,16 +2,15 @@
 
 #include <cstring>
 
+#include "base/mix.hpp"
+
 namespace wavehpc::svc {
 
 namespace {
 
-// splitmix64 finalizer: full-avalanche 64-bit mix.
-constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
+// The bare finalizer (no golden-ratio add), not splitmix64: every content
+// digest and cache key is defined by this mix.
+using base::fmix64;
 
 constexpr std::uint64_t kLane0Seed = 0x243f6a8885a308d3ULL;  // pi digits
 constexpr std::uint64_t kLane1Seed = 0x13198a2e03707344ULL;
@@ -27,21 +26,21 @@ void content_digest(const core::ImageF& img, std::uint64_t& lo, std::uint64_t& h
     std::uint64_t word = 0;
     while (n >= sizeof word) {
         std::memcpy(&word, bytes, sizeof word);
-        h0 = mix64(h0 ^ word);
-        h1 = mix64(h1 + word);
+        h0 = fmix64(h0 ^ word);
+        h1 = fmix64(h1 + word);
         bytes += sizeof word;
         n -= sizeof word;
     }
     if (n > 0) {
         word = 0;
         std::memcpy(&word, bytes, n);
-        h0 = mix64(h0 ^ word);
-        h1 = mix64(h1 + word);
+        h0 = fmix64(h0 ^ word);
+        h1 = fmix64(h1 + word);
     }
     // Length padding so prefixes of zeros cannot alias.
     const auto total = static_cast<std::uint64_t>(pixels.size());
-    lo = mix64(h0 ^ total);
-    hi = mix64(h1 + total);
+    lo = fmix64(h0 ^ total);
+    hi = fmix64(h1 + total);
 }
 
 CacheKey assemble_cache_key(std::uint64_t digest_lo, std::uint64_t digest_hi,

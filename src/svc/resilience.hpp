@@ -7,8 +7,8 @@
 // (service.cpp) so everything here unit-tests without threads.
 //
 // All knobs come from WAVEHPC_SVC_RETRY_* / WAVEHPC_SVC_BREAKER_* /
-// WAVEHPC_SVC_WATCHDOG_MS (see from_env docs below); unset or unparsable
-// variables keep the defaults, mirroring ServiceConfig::from_env.
+// WAVEHPC_SVC_WATCHDOG_MS (see from_env docs below), read under the
+// base/knob.hpp policy like ServiceConfig::from_env.
 
 #include <chrono>
 #include <cstdint>
@@ -108,7 +108,9 @@ struct ResilienceConfig {
     /// WAVEHPC_SVC_RETRY_MAX / _RETRY_BASE_MS / _RETRY_CAP_MS /
     /// _RETRY_JITTER, WAVEHPC_SVC_BREAKER_THRESHOLD / _BREAKER_ALPHA /
     /// _BREAKER_MIN_SAMPLES / _BREAKER_OPEN_MS / _BREAKER_PROBES, and
-    /// WAVEHPC_SVC_WATCHDOG_MS. Unset/unparsable keeps the default.
+    /// WAVEHPC_SVC_WATCHDOG_MS. Unset/empty keeps the default; counts are
+    /// >= 1, milliseconds and the threshold >= 0, jitter 0-1, alpha
+    /// 1e-3-1; anything else throws std::invalid_argument.
     [[nodiscard]] static ResilienceConfig from_env();
 };
 

@@ -1,10 +1,10 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
+#include "base/knob.hpp"
 #include "tile/progressive.hpp"
 #include "wavelet/threads_dwt.hpp"
 
@@ -12,24 +12,7 @@ namespace wavehpc::svc {
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return std::max<std::uint64_t>(1, v);
-}
-
-/// Like env_u64 but zero is a meaningful value (batch window off).
-std::uint64_t env_u64_allow_zero(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return v;
-}
+using base::env_u64;
 
 double seconds_between(Clock::time_point a, Clock::time_point b) {
     return std::chrono::duration<double>(b - a).count();
@@ -43,17 +26,14 @@ std::size_t backend_index(Backend b) noexcept {
 
 ServiceConfig ServiceConfig::from_env() {
     ServiceConfig cfg;
-    cfg.max_queue_depth =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SVC_QUEUE_DEPTH", cfg.max_queue_depth));
-    cfg.max_queued_bytes = env_u64("WAVEHPC_SVC_QUEUE_BYTES", cfg.max_queued_bytes);
-    cfg.max_concurrency =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SVC_CONCURRENCY", cfg.max_concurrency));
-    cfg.cache_bytes = env_u64("WAVEHPC_SVC_CACHE_BYTES", cfg.cache_bytes);
+    cfg.max_queue_depth = env_u64("WAVEHPC_SVC_QUEUE_DEPTH", cfg.max_queue_depth, 1);
+    cfg.max_queued_bytes = env_u64("WAVEHPC_SVC_QUEUE_BYTES", cfg.max_queued_bytes, 1);
+    cfg.max_concurrency = env_u64("WAVEHPC_SVC_CONCURRENCY", cfg.max_concurrency, 1);
+    cfg.cache_bytes = env_u64("WAVEHPC_SVC_CACHE_BYTES", cfg.cache_bytes, 1);
     cfg.resilience = ResilienceConfig::from_env();
-    cfg.batch_max =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SVC_BATCH_MAX", cfg.batch_max));
-    cfg.batch_window_us =
-        env_u64_allow_zero("WAVEHPC_SVC_BATCH_WINDOW_US", cfg.batch_window_us);
+    cfg.batch_max = env_u64("WAVEHPC_SVC_BATCH_MAX", cfg.batch_max, 1);
+    // 0 turns the batch window off.
+    cfg.batch_window_us = env_u64("WAVEHPC_SVC_BATCH_WINDOW_US", cfg.batch_window_us, 0);
     cfg.arena = ArenaConfig::from_env();
     return cfg;
 }

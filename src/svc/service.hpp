@@ -91,11 +91,11 @@ struct ServiceConfig {
     ArenaConfig arena;                          ///< slab pool posture
 
     /// Defaults overridden by WAVEHPC_SVC_QUEUE_DEPTH / WAVEHPC_SVC_QUEUE_BYTES /
-    /// WAVEHPC_SVC_CONCURRENCY / WAVEHPC_SVC_CACHE_BYTES (unset or
-    /// unparsable variables keep the default; zeroes are clamped to 1)
-    /// plus WAVEHPC_SVC_BATCH_MAX / WAVEHPC_SVC_BATCH_WINDOW_US (zero
-    /// meaningful for the window), the WAVEHPC_SVC_ARENA_* knobs
-    /// (ArenaConfig::from_env), and the ResilienceConfig::from_env knobs.
+    /// WAVEHPC_SVC_CONCURRENCY / WAVEHPC_SVC_CACHE_BYTES /
+    /// WAVEHPC_SVC_BATCH_MAX (each >= 1) and WAVEHPC_SVC_BATCH_WINDOW_US
+    /// (0 = off), the WAVEHPC_SVC_ARENA_* knobs (ArenaConfig::from_env),
+    /// and the ResilienceConfig::from_env knobs. Knob policy: base/knob.hpp
+    /// (a malformed or out-of-range value throws std::invalid_argument).
     [[nodiscard]] static ServiceConfig from_env();
 };
 

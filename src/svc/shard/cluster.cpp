@@ -2,42 +2,25 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "base/knob.hpp"
 #include "core/kernels.hpp"
 
 namespace wavehpc::svc::shard {
 
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return std::max<std::uint64_t>(1, v);
-}
+using base::env_u64;
 
-/// Like env_u64 but 0 is a meaningful value (fanout "all", seed "inherit").
-std::uint64_t env_u64_raw(const char* name, std::uint64_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0') return fallback;
-    return v;
-}
-
+/// A positive millisecond knob, read into seconds.
 double env_millis(const char* name, double fallback_seconds) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback_seconds;
-    char* end = nullptr;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || !(v > 0.0)) return fallback_seconds;
-    return v * 1e-3;
+    return base::env_f64(name, fallback_seconds * 1e3,
+                         std::numeric_limits<double>::min()) *
+           1e-3;
 }
 
 void sleep_seconds(double seconds) {
@@ -59,28 +42,27 @@ void sleep_seconds(double seconds) {
 
 ShardClusterConfig ShardClusterConfig::from_env() {
     ShardClusterConfig cfg;
-    cfg.shard_count =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SHARD_COUNT", cfg.shard_count));
-    cfg.vnodes = static_cast<std::size_t>(env_u64("WAVEHPC_SHARD_VNODES", cfg.vnodes));
-    cfg.replicas =
-        static_cast<std::size_t>(env_u64("WAVEHPC_SHARD_REPLICAS", cfg.replicas));
+    // Shards are transport ranks (an int) next to the router's rank.
+    cfg.shard_count = env_u64("WAVEHPC_SHARD_COUNT", cfg.shard_count, 1, INT_MAX - 1);
+    cfg.vnodes = env_u64("WAVEHPC_SHARD_VNODES", cfg.vnodes, 1);
+    cfg.replicas = env_u64("WAVEHPC_SHARD_REPLICAS", cfg.replicas, 1);
     cfg.seed = env_u64("WAVEHPC_SHARD_SEED",
-                       env_u64("WAVEHPC_SCHED_SEED", cfg.seed));
+                       env_u64("WAVEHPC_SCHED_SEED", cfg.seed, 1), 1);
     cfg.membership.heartbeat_interval =
         env_millis("WAVEHPC_SHARD_HB_MS", cfg.membership.heartbeat_interval);
     cfg.membership.suspect_after =
         env_millis("WAVEHPC_SHARD_SUSPECT_MS", cfg.membership.suspect_after);
     cfg.membership.dead_after =
         env_millis("WAVEHPC_SHARD_DEAD_MS", cfg.membership.dead_after);
-    cfg.membership.readmit_oks = static_cast<std::uint32_t>(
-        env_u64("WAVEHPC_SHARD_READMIT_OKS", cfg.membership.readmit_oks));
-    cfg.gossip_seed = env_u64_raw("WAVEHPC_SHARD_GOSSIP_SEED", cfg.gossip_seed);
-    cfg.gossip_fanout = static_cast<std::size_t>(
-        env_u64_raw("WAVEHPC_SHARD_GOSSIP_FANOUT", cfg.gossip_fanout));
-    cfg.wire_retries = static_cast<int>(env_u64_raw(
-        "WAVEHPC_SHARD_WIRE_RETRIES", static_cast<std::uint64_t>(cfg.wire_retries)));
-    if (const char* spec = std::getenv("WAVEHPC_SHARD_FAULTS");
-        spec != nullptr && *spec != '\0') {
+    cfg.membership.readmit_oks = static_cast<std::uint32_t>(env_u64(
+        "WAVEHPC_SHARD_READMIT_OKS", cfg.membership.readmit_oks, 1, UINT32_MAX));
+    // 0 is meaningful for both: seed "inherit", fanout "all".
+    cfg.gossip_seed = env_u64("WAVEHPC_SHARD_GOSSIP_SEED", cfg.gossip_seed, 0);
+    cfg.gossip_fanout = env_u64("WAVEHPC_SHARD_GOSSIP_FANOUT", cfg.gossip_fanout, 0);
+    cfg.wire_retries = static_cast<int>(env_u64(
+        "WAVEHPC_SHARD_WIRE_RETRIES", static_cast<std::uint64_t>(cfg.wire_retries), 0,
+        INT_MAX));
+    if (const std::string spec = base::env_text("WAVEHPC_SHARD_FAULTS"); !spec.empty()) {
         cfg.transport_faults = mesh::FaultPlan::parse(
             spec, cfg.gossip_seed != 0 ? cfg.gossip_seed : cfg.seed);
     }

@@ -106,7 +106,8 @@ struct ShardClusterConfig {
     /// WAVEHPC_SHARD_GOSSIP_SEED / WAVEHPC_SHARD_GOSSIP_FANOUT /
     /// WAVEHPC_SHARD_WIRE_RETRIES / WAVEHPC_SHARD_FAULTS (a
     /// mesh::FaultPlan spec string), plus ServiceConfig::from_env() for
-    /// the per-shard service.
+    /// the per-shard service. base/knob.hpp policy: a malformed or
+    /// out-of-range value throws std::invalid_argument.
     [[nodiscard]] static ShardClusterConfig from_env();
 };
 

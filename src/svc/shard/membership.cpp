@@ -3,18 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "base/mix.hpp"
+
 namespace wavehpc::svc::shard {
 
-namespace {
-
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
+using base::splitmix64;
 
 const char* health_name(ShardHealth h) noexcept {
     switch (h) {
@@ -123,11 +116,11 @@ std::size_t FailureDetector::alive_count() const {
 }
 
 std::uint64_t FailureDetector::roster_hash() const {
-    std::uint64_t h = mix64(status_.size());
+    std::uint64_t h = splitmix64(status_.size());
     for (std::size_t s = 0; s < status_.size(); ++s) {
         const auto& st = status_[s];
-        h = mix64(h ^ mix64(s * 3 + static_cast<std::uint64_t>(st.health)) ^
-                  mix64(st.incarnation + 0x5bd1e995ULL));
+        h = splitmix64(h ^ splitmix64(s * 3 + static_cast<std::uint64_t>(st.health)) ^
+                  splitmix64(st.incarnation + 0x5bd1e995ULL));
     }
     return h;
 }

@@ -3,19 +3,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "base/mix.hpp"
+
 namespace wavehpc::svc::shard {
 
-namespace {
-
-/// splitmix64 finalizer — the same mix the chaos and fault plans draw with.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-}  // namespace
+using base::splitmix64;
 
 HashRing::HashRing(std::size_t n_shards, std::size_t vnodes, std::uint64_t seed)
     : n_shards_(n_shards), vnodes_(vnodes), seed_(seed) {
@@ -24,9 +16,9 @@ HashRing::HashRing(std::size_t n_shards, std::size_t vnodes, std::uint64_t seed)
     }
     points_.reserve(n_shards * vnodes);
     for (ShardId s = 0; s < n_shards; ++s) {
-        const std::uint64_t shard_lane = mix64(seed ^ mix64(s + 1));
+        const std::uint64_t shard_lane = splitmix64(seed ^ splitmix64(s + 1));
         for (std::size_t v = 0; v < vnodes; ++v) {
-            points_.push_back({mix64(shard_lane ^ (v * 0x9E3779B97F4A7C15ULL)), s});
+            points_.push_back({splitmix64(shard_lane ^ (v * 0x9E3779B97F4A7C15ULL)), s});
         }
     }
     std::sort(points_.begin(), points_.end(),
@@ -38,7 +30,7 @@ HashRing::HashRing(std::size_t n_shards, std::size_t vnodes, std::uint64_t seed)
 std::uint64_t HashRing::ring_point(const CacheKey& key) noexcept {
     // Scene identity only: digest + dimensions. Transform parameters are
     // deliberately excluded so variants colocate (header comment).
-    return mix64(key.digest_lo ^ mix64(key.digest_hi) ^
+    return splitmix64(key.digest_lo ^ splitmix64(key.digest_hi) ^
                  ((std::uint64_t{key.rows} << 32) | key.cols));
 }
 

@@ -4,17 +4,11 @@
 #include <stdexcept>
 
 #include "base/frame.hpp"
+#include "base/mix.hpp"
 
 namespace wavehpc::svc::shard {
 
 namespace {
-
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
 
 // Fault-draw index for the channel's n-th frame. Per-channel (not global)
 // so concurrent traffic on other channels can never shift this channel's
@@ -26,7 +20,7 @@ namespace {
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 40) ^
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 20) ^
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag));
-    return mix64(key) + n;
+    return base::splitmix64(key) + n;
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+
+#include "base/knob.hpp"
 
 namespace wavehpc::testing {
 
@@ -95,7 +96,7 @@ std::string GoldenArtifact::check(const std::string& name, double rel_tol,
 }
 
 std::string golden_dir() {
-    if (const char* env = std::getenv("WAVEHPC_GOLDEN_DIR"); env != nullptr && *env) {
+    if (std::string env = base::env_text("WAVEHPC_GOLDEN_DIR"); !env.empty()) {
         return env;
     }
     const std::string dir = WAVEHPC_GOLDEN_DEFAULT_DIR;
@@ -108,8 +109,8 @@ std::string golden_dir() {
 
 bool regen_mode() {
     if (g_regen) return true;
-    const char* env = std::getenv("WAVEHPC_REGEN_GOLDEN");
-    return env != nullptr && *env != '\0' && std::string(env) != "0";
+    const std::string env = base::env_text("WAVEHPC_REGEN_GOLDEN");
+    return !env.empty() && env != "0";
 }
 
 void set_regen_mode(bool on) { g_regen = on; }

@@ -1,44 +1,17 @@
 #include "testing/seeds.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <sstream>
+
+#include "base/knob.hpp"
 
 namespace wavehpc::testing {
 
-std::uint64_t SplitMix64::next() noexcept {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ULL);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    return z ^ (z >> 31);
-}
-
-double SplitMix64::uniform() noexcept {
-    // 53 random mantissa bits -> [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t SplitMix64::below(std::uint64_t n) noexcept {
-    // Modulo bias is negligible for the small ranges the harness draws.
-    return next() % n;
-}
-
-double SplitMix64::range(double lo, double hi) noexcept {
-    return lo + (hi - lo) * uniform();
-}
-
 std::uint64_t env_seed(const char* name, std::uint64_t fallback) {
-    const char* env = std::getenv(name);
-    if (env == nullptr || *env == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env) return fallback;
-    return static_cast<std::uint64_t>(v);
+    return base::env_u64(name, fallback, 0);
 }
 
 std::size_t env_cases(const char* name, std::size_t fallback) {
-    const auto v = static_cast<std::size_t>(env_seed(name, fallback));
-    return std::clamp<std::size_t>(v, 1, 100000);
+    return base::env_u64(name, fallback, 1, 100000);
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {

@@ -12,35 +12,18 @@
 #include <cstdint>
 #include <string>
 
+#include "base/mix.hpp"
+
 namespace wavehpc::testing {
 
-/// SplitMix64 — the same generator family FaultPlan uses for per-message
-/// draws: tiny state, full-period, and any seed (including 0) is fine.
-class SplitMix64 {
-public:
-    explicit SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
+/// The generator family FaultPlan draws from (base/mix.hpp).
+using base::SplitMix64;
 
-    std::uint64_t next() noexcept;
-
-    /// Uniform double in [0, 1).
-    double uniform() noexcept;
-
-    /// Uniform integer in [0, n); n must be > 0.
-    std::uint64_t below(std::uint64_t n) noexcept;
-
-    /// Uniform double in [lo, hi).
-    double range(double lo, double hi) noexcept;
-
-private:
-    std::uint64_t state_;
-};
-
-/// `name` parsed as an unsigned 64-bit value, or `fallback` when the
-/// variable is unset or unparsable.
+/// `name` as an unsigned 64-bit seed, or `fallback` when unset; a
+/// malformed value throws (base/knob.hpp policy).
 [[nodiscard]] std::uint64_t env_seed(const char* name, std::uint64_t fallback);
 
-/// Case-count override for fuzz loops (e.g. WAVEHPC_FUZZ_CASES), clamped
-/// to [1, 100000].
+/// Case-count override for fuzz loops (e.g. WAVEHPC_FUZZ_CASES), 1-100000.
 [[nodiscard]] std::size_t env_cases(const char* name, std::size_t fallback);
 
 /// The seed of the `index`-th case derived from a base seed: distinct,

@@ -1,30 +1,17 @@
 #include "tile/plan.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
+#include "base/knob.hpp"
 #include "core/dwt.hpp"
 
 namespace wavehpc::tile {
 
-namespace {
-
-std::size_t tile_env_dim(const char* name, std::size_t fallback) {
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(raw, &end, 10);
-    if (end == raw || *end != '\0' || v == 0) return fallback;
-    return static_cast<std::size_t>(std::min<unsigned long long>(v, 65536));
-}
-
-}  // namespace
-
 TileConfig TileConfig::from_env() {
     TileConfig cfg;
-    cfg.tile_rows = tile_env_dim("WAVEHPC_TILE_ROWS", cfg.tile_rows);
-    cfg.tile_cols = tile_env_dim("WAVEHPC_TILE_COLS", cfg.tile_cols);
+    cfg.tile_rows = base::env_u64("WAVEHPC_TILE_ROWS", cfg.tile_rows, 1, 65536);
+    cfg.tile_cols = base::env_u64("WAVEHPC_TILE_COLS", cfg.tile_cols, 1, 65536);
     return cfg;
 }
 

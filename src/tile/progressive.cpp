@@ -1,9 +1,8 @@
 #include "tile/progressive.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 
+#include "base/knob.hpp"
 #include "core/compress.hpp"
 
 namespace wavehpc::tile {
@@ -134,12 +133,7 @@ double ProgressiveDelivery::time_to_full() const {
 
 double preview_bytes_per_second() {
     constexpr double kDefault = 8.0 * (1 << 20);  // 8 MiB/s
-    const char* raw = std::getenv("WAVEHPC_TILE_PREVIEW_BPS");
-    if (raw == nullptr || *raw == '\0') return kDefault;
-    char* end = nullptr;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || *end != '\0' || !(v > 0.0)) return kDefault;
-    return std::max(1.0, v);
+    return base::env_f64("WAVEHPC_TILE_PREVIEW_BPS", kDefault, 1.0);
 }
 
 core::Pyramid tiled_decompose(const core::ImageF& img, const core::FilterPair& fp,

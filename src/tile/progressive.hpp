@@ -105,8 +105,7 @@ private:
 };
 
 /// WAVEHPC_TILE_PREVIEW_BPS: bytes/second of the simulated preview link
-/// (default 8 MiB/s; unset/unparsable keep the default, values clamp
-/// to >= 1).
+/// (default 8 MiB/s, at least 1; base/knob.hpp policy).
 [[nodiscard]] double preview_bytes_per_second();
 
 /// One-call tiled decomposition of an in-memory image — the service's

@@ -4,24 +4,18 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "base/mix.hpp"
+
 namespace wavehpc::tile {
 
 namespace {
 
-// Same mixing family as core::synthetic's generators, reimplemented here
-// because those helpers are internal to synthetic.cpp; determinism only
-// has to hold against *this* source, not against fbm_field.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
+// Same mixer as core::synthetic's generators, but its own lattice keys:
+// determinism only has to hold against *this* source, not fbm_field.
 [[nodiscard]] float hash01(std::uint64_t seed, std::uint64_t gx,
                            std::uint64_t gy) noexcept {
-    const std::uint64_t h = splitmix64(seed ^ (gx * 0x9e3779b97f4a7c15ULL) ^
-                                       (gy * 0xc2b2ae3d27d4eb4fULL));
+    const std::uint64_t h = base::splitmix64(seed ^ (gx * 0x9e3779b97f4a7c15ULL) ^
+                                             (gy * 0xc2b2ae3d27d4eb4fULL));
     return static_cast<float>(h >> 40) / static_cast<float>(1ULL << 24);
 }
 

@@ -3,16 +3,13 @@
 #include <span>
 #include <stdexcept>
 
+#include "base/mix.hpp"
+
 namespace wavehpc::workload {
 
 namespace {
 
-std::uint64_t splitmix64(std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
+using base::splitmix64;
 
 // Small helper to append an op depending on up to two predecessors.
 std::uint32_t emit(Trace& t, OpType type, std::uint32_t d0 = UINT32_MAX,

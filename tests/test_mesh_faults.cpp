@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "base/knob.hpp"
 #include "mesh/collectives.hpp"
 #include "mesh/faults.hpp"
 #include "mesh/machine.hpp"
@@ -573,10 +573,7 @@ TEST(FaultCollectives, GssumSurvivesRandomDropsOnTorus) {
 // The CI fault-stress job sweeps WAVEHPC_FAULT_SEED over several fixed
 // seeds; locally this runs once with the default.
 TEST(FaultStress, SeededRandomTrafficConvergesReliably) {
-    std::uint64_t seed = 1;
-    if (const char* env = std::getenv("WAVEHPC_FAULT_SEED")) {
-        seed = static_cast<std::uint64_t>(std::strtoull(env, nullptr, 10));
-    }
+    const std::uint64_t seed = wavehpc::base::env_u64("WAVEHPC_FAULT_SEED", 1, 0);
     Machine machine(MachineProfile::test_profile(4, 2));
     FaultPlan plan;
     plan.seed = seed;

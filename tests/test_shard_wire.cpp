@@ -433,6 +433,32 @@ TEST(FaultSpecErrors, FaultPlanParseNamesTheTokenAndByteOffset) {
     }
 }
 
+/// `spec` must throw std::invalid_argument naming `token` and its offset.
+void expect_fault_spec_rejected(const std::string& spec, const std::string& token,
+                                std::size_t byte) {
+    try {
+        (void)FaultPlan::parse(spec, 1);
+        ADD_FAILURE() << "expected a throw for " << spec;
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+        EXPECT_NE(what.find("(byte " + std::to_string(byte) + ")"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(FaultSpecErrors, FaultPlanRejectsWrappedRanksAndNonFiniteOrPaddedNumbers) {
+    // A rank past INT_MAX used to wrap (4294967297 targeted rank 1).
+    expect_fault_spec_rejected("link=4294967297>0:0:50:1.0", "4294967297", 5);
+    expect_fault_spec_rejected("fail=4294967296:10", "4294967296", 5);
+    // nan compared false against [0, 1] and was kept, never dropping.
+    expect_fault_spec_rejected("drop=nan", "nan", 5);
+    expect_fault_spec_rejected("link=0>1:0:50:nan", "nan", 14);
+    expect_fault_spec_rejected("degrade=0:10:inf", "inf", 13);
+    // strtod skipped leading whitespace; a token is the whole token.
+    expect_fault_spec_rejected("drop= 0.5", " 0.5", 5);
+}
+
 TEST(FaultSpecErrors, ChaosPlanParseNamesTheTokenAndByteOffset) {
     try {
         (void)ChaosPlan::parse("compute=0.1,stall=wat", 1);

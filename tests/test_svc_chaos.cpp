@@ -15,6 +15,8 @@
 #include <future>
 #include <memory>
 #include <new>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -116,6 +118,32 @@ TEST(ChaosPlan, MalformedSpecThrows) {
     EXPECT_THROW((void)ChaosPlan::parse("compute", 1), std::invalid_argument);
     EXPECT_THROW((void)ChaosPlan::parse("compute_exact=1:x", 1),
                  std::invalid_argument);
+}
+
+/// `spec` must throw std::invalid_argument naming `token` and its offset.
+void expect_chaos_spec_rejected(const std::string& spec, const std::string& token,
+                                std::size_t byte) {
+    try {
+        (void)ChaosPlan::parse(spec, 1);
+        ADD_FAILURE() << "expected a throw for " << spec;
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'" + token + "'"), std::string::npos) << what;
+        EXPECT_NE(what.find("(byte " + std::to_string(byte) + ")"), std::string::npos)
+            << what;
+    }
+}
+
+TEST(ChaosPlan, RejectsWrappedShardsAndNonFiniteOrPaddedNumbers) {
+    // 2^64 + 1 used to wrap to shard 1.
+    expect_chaos_spec_rejected("shard_kill=18446744073709551617:0:100",
+                               "18446744073709551617", 11);
+    expect_chaos_spec_rejected("compute_exact=3:18446744073709551616",
+                               "18446744073709551616", 16);
+    // An infinite stall parked the compute thread forever.
+    expect_chaos_spec_rejected("stall_ms=inf,stall=0.1", "inf", 9);
+    // strtod skipped leading whitespace; a token is the whole token.
+    expect_chaos_spec_rejected("compute= 0.5", " 0.5", 8);
 }
 
 TEST(ChaosPlan, ParsesShardEventsSortedByStartTime) {
