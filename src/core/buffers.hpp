@@ -12,9 +12,9 @@
 // Contract:
 //   * obtain(n, zeroed) returns a vector with size() == n. When `zeroed`
 //     is true every element is 0.0f; otherwise the contents are
-//     unspecified (callers must fully overwrite them — the convolve column
-//     pass ACCUMULATES into its outputs and therefore asks for zeroed
-//     buffers, the row pass writes every element and does not).
+//     unspecified and the caller must overwrite them. The DWT kernels write
+//     every output element once, so the decompose paths never ask for
+//     zeroed buffers.
 //   * recycle(v) takes back a buffer the caller no longer needs. The
 //     source may pool the capacity or free it; `v` is consumed either way.
 //   * Both methods must be callable from any thread concurrently

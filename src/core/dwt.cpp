@@ -94,10 +94,8 @@ Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels,
                   BoundaryMode mode, DwtKernel kernel, FloatBufferSource& buffers) {
     validate_decomposition_request(img.rows(), img.cols(), levels);
     kernel = resolve_dwt_kernel(kernel, fp);  // resolve once for all levels
-    // Only the convolve column pass accumulates into its outputs; the
-    // lifting/haar column planes and every row pass write each element, so
-    // their buffers can be handed out dirty.
-    const bool zero_cols = kernel == DwtKernel::Convolve;
+    // Every kernel writes each output element once, so buffers are handed
+    // out dirty.
     Pyramid pyr;
     pyr.levels.reserve(static_cast<std::size_t>(levels));
     ImageF current;  // empty at level 0: the input is read in place
@@ -111,11 +109,11 @@ Pyramid decompose(const ImageF& img, const FilterPair& fp, int levels,
         analyze_rows_range(in, fp, low_rows, high_rows, mode, kernel, 0, rows);
         if (k > 0) buffers.recycle(current.release_data());
 
-        ImageF ll = obtain_image(buffers, half_r, half_c, zero_cols);
+        ImageF ll = obtain_image(buffers, half_r, half_c, false);
         DetailBands d;
-        d.lh = obtain_image(buffers, half_r, half_c, zero_cols);
-        d.hl = obtain_image(buffers, half_r, half_c, zero_cols);
-        d.hh = obtain_image(buffers, half_r, half_c, zero_cols);
+        d.lh = obtain_image(buffers, half_r, half_c, false);
+        d.hl = obtain_image(buffers, half_r, half_c, false);
+        d.hh = obtain_image(buffers, half_r, half_c, false);
         analyze_cols_range(low_rows, high_rows, fp, ll, d.lh, d.hl, d.hh, mode,
                            kernel, 0, half_r);
         buffers.recycle(low_rows.release_data());

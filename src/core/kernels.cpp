@@ -1,5 +1,6 @@
 #include "core/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -10,11 +11,6 @@
 namespace wavehpc::core {
 
 namespace {
-
-// Column-tile width (floats) for the fused convolve column sweep: per tile
-// the inner loops touch 4 output slices + 2 source slices, 6 * 512 * 4 B =
-// 12 KiB, comfortably inside L1 alongside the filter taps.
-constexpr std::size_t kColTile = 512;
 
 // Process-wide programmatic override; Auto = defer to the environment.
 std::atomic<DwtKernel> g_default_kernel{DwtKernel::Auto};
@@ -243,76 +239,137 @@ LiftingPlan build_lifting_plan(const FilterPair& fp) {
 
 namespace {
 
-// One tap of the fused column accumulation. Kept as a standalone function
-// because GCC only tracks __restrict reliably on parameters: the six streams
-// (four destination subband rows, two source rows) are distinct allocations,
-// and making that visible here is what lets the loop vectorize.
-void accumulate_tap(float* __restrict dll, float* __restrict dlh, float* __restrict dhl,
-                    float* __restrict dhh, const float* __restrict sl,
-                    const float* __restrict sh, float wl, float wh, std::size_t c0,
-                    std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
-        dll[c] += wl * sl[c];
-        dlh[c] += wh * sl[c];
-        dhl[c] += wl * sh[c];
-        dhh[c] += wh * sh[c];
-    }
-}
+// Every convolve output is the scalar expression tree of the historical
+// convolve_decimate_* reference: an accumulator that starts at +0.0f and
+// adds w[n] * x for the taps n in ascending order. Float addition is not
+// associative and 0.0f + -0.0f is +0.0f, so neither the +0.0f start nor the
+// tap order may be "simplified"; there is no FMA contraction because no
+// -march is set. The kernel below only changes which outputs are in flight
+// together, so every coefficient keeps its bits.
 
-void convolve_row(std::span<const float> src, const FilterPair& fp, std::span<float> dlo,
-                  std::span<float> dhi, BoundaryMode mode) {
-    const std::size_t cols = src.size();
-    const std::size_t half = cols / 2;
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    const std::size_t taps = fl.size();
-    for (std::size_t k = 0; k < half; ++k) {
+/// One tap of a run of outputs: the samples it reads (unit stride, one per
+/// output) and its low- and high-pass weights.
+struct Tap {
+    const float* src;
+    float wl;
+    float wh;
+};
+
+// lo[j] and hi[j] for j < width from one tap list. With the tap count T a
+// compile-time constant the tap loop unrolls and the compiler vectorizes
+// the output loop: each SIMD lane's two accumulators stay in registers
+// across every tap and each output is stored once. T == 0 takes the count
+// at run time (the loop then stays scalar; same expression tree).
+template <std::size_t T>
+void tap_sum(const Tap* __restrict taps, std::size_t ntaps, std::size_t width,
+             float* __restrict lo, float* __restrict hi) {
+    const std::size_t nt = T != 0 ? T : ntaps;
+    for (std::size_t j = 0; j < width; ++j) {
         float acc_lo = 0.0F;
         float acc_hi = 0.0F;
-        if (2 * k + taps <= cols) {
-            const float* base = src.data() + 2 * k;
-            for (std::size_t n = 0; n < taps; ++n) {
-                acc_lo += fl[n] * base[n];
-                acc_hi += fh[n] * base[n];
-            }
-        } else {
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t idx =
-                    extend_index(static_cast<std::ptrdiff_t>(2 * k + n), cols, mode);
-                if (idx >= cols) continue;  // ZeroPad outside
-                acc_lo += fl[n] * src[idx];
-                acc_hi += fh[n] * src[idx];
-            }
+        for (std::size_t t = 0; t < nt; ++t) {
+            acc_lo += taps[t].wl * taps[t].src[j];
+            acc_hi += taps[t].wh * taps[t].src[j];
         }
-        dlo[k] = acc_lo;
-        dhi[k] = acc_hi;
+        lo[j] = acc_lo;
+        hi[j] = acc_hi;
     }
 }
 
-void convolve_cols_range(const ImageF& low_rows, const ImageF& high_rows,
-                         const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                         ImageF& hh, BoundaryMode mode, std::size_t k0,
-                         std::size_t k1) {
-    const std::size_t rows = low_rows.rows();
-    const std::size_t cols = low_rows.cols();
+/// The one convolve kernel, behind both the row and the column pass:
+/// instantiated for the registered Daubechies tap counts, run-time count
+/// otherwise (custom banks, ZeroPad edge rows with dropped taps).
+void convolve_taps(const std::vector<Tap>& taps, std::size_t width, float* lo,
+                   float* hi) {
+    switch (taps.size()) {
+        case 2: return tap_sum<2>(taps.data(), 2, width, lo, hi);
+        case 4: return tap_sum<4>(taps.data(), 4, width, lo, hi);
+        case 6: return tap_sum<6>(taps.data(), 6, width, lo, hi);
+        case 8: return tap_sum<8>(taps.data(), 8, width, lo, hi);
+        default: return tap_sum<0>(taps.data(), taps.size(), width, lo, hi);
+    }
+}
+
+// Row outputs [k0, k1) of the full signal `src`; output k lands at
+// dlo[k - k0]. The interior outputs (2k + taps <= cols) split the window
+// once into its even and odd halves (thread-local scratch), so tap 2t reads
+// even[j + t] and tap 2t+1 reads odd[j + t], both unit-stride. The few
+// right-edge outputs keep the scalar extend_index loop.
+void convolve_row_range(std::span<const float> src, const FilterPair& fp,
+                        std::span<float> dlo, std::span<float> dhi, BoundaryMode mode,
+                        std::size_t k0, std::size_t k1) {
+    const std::size_t cols = src.size();
     const auto fl = fp.low();
     const auto fh = fp.high();
     const std::size_t taps = fl.size();
-    for (std::size_t k = k0; k < k1; ++k) {
-        float* dll = ll.row(k).data();
-        float* dlh = lh.row(k).data();
-        float* dhl = hl.row(k).data();
-        float* dhh = hh.row(k).data();
-        for (std::size_t c0 = 0; c0 < cols; c0 += kColTile) {
-            const std::size_t c1 = std::min(cols, c0 + kColTile);
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t idx = extend_index(
-                    static_cast<std::ptrdiff_t>(2 * k + n), rows, mode);
-                if (idx >= rows) continue;  // ZeroPad sentinel
-                accumulate_tap(dll, dlh, dhl, dhh, low_rows.row(idx).data(),
-                               high_rows.row(idx).data(), fl[n], fh[n], c0, c1);
-            }
+    const std::size_t interior_end =
+        std::clamp(cols >= taps ? (cols - taps) / 2 + 1 : 0, k0, k1);
+    if (k0 < interior_end) {
+        const std::size_t count = interior_end - k0;
+        const std::size_t span = count + taps / 2 - 1;  // polyphase samples read
+        thread_local std::vector<float> scratch;
+        thread_local std::vector<Tap> list;
+        if (scratch.size() < 2 * span) scratch.resize(2 * span);
+        float* const even = scratch.data();
+        float* const odd = even + span;
+        const float* __restrict x = src.data() + 2 * k0;
+        for (std::size_t i = 0; i < span; ++i) {
+            even[i] = x[2 * i];
+            odd[i] = x[2 * i + 1];
         }
+        list.clear();
+        for (std::size_t n = 0; n < taps; ++n) {
+            list.push_back({(n % 2 == 0 ? even : odd) + n / 2, fl[n], fh[n]});
+        }
+        convolve_taps(list, count, dlo.data(), dhi.data());
+    }
+    for (std::size_t k = interior_end; k < k1; ++k) {
+        float acc_lo = 0.0F;
+        float acc_hi = 0.0F;
+        for (std::size_t n = 0; n < taps; ++n) {
+            const std::size_t idx =
+                extend_index(static_cast<std::ptrdiff_t>(2 * k + n), cols, mode);
+            if (idx >= cols) continue;  // ZeroPad outside
+            acc_lo += fl[n] * src[idx];
+            acc_hi += fh[n] * src[idx];
+        }
+        dlo[k - k0] = acc_lo;
+        dhi[k - k0] = acc_hi;
+    }
+}
+
+/// The convolve column pass behind all three column entry points: output
+/// rows [k0, k1), written at row k - out0. Output row k reads source rows
+/// 2k .. 2k+taps-1, mapped through `mode` into [0, plane_rows) with ZeroPad
+/// rows dropped from its tap list — or used verbatim when `pre_extended`
+/// (the mesh backend's stripes carry their guard rows). Each output element
+/// is written once, so the outputs need not start zeroed.
+template <typename LowAt, typename HighAt>
+void convolve_cols(const LowAt& low_at, const HighAt& high_at, std::size_t plane_rows,
+                   bool pre_extended, std::size_t width, const FilterPair& fp,
+                   ImageF& ll, ImageF& lh, ImageF& hl, ImageF& hh, BoundaryMode mode,
+                   std::size_t k0, std::size_t k1, std::size_t out0) {
+    const auto fl = fp.low();
+    const auto fh = fp.high();
+    const std::size_t taps = fl.size();
+    std::vector<Tap> low_taps;
+    std::vector<Tap> high_taps;
+    low_taps.reserve(taps);
+    high_taps.reserve(taps);
+    for (std::size_t k = k0; k < k1; ++k) {
+        low_taps.clear();
+        high_taps.clear();
+        for (std::size_t n = 0; n < taps; ++n) {
+            std::size_t idx = 2 * k + n;
+            if (!pre_extended) {
+                idx = extend_index(static_cast<std::ptrdiff_t>(idx), plane_rows, mode);
+                if (idx >= plane_rows) continue;  // ZeroPad sentinel
+            }
+            low_taps.push_back({low_at(idx), fl[n], fh[n]});
+            high_taps.push_back({high_at(idx), fl[n], fh[n]});
+        }
+        convolve_taps(low_taps, width, ll.row(k - out0).data(), lh.row(k - out0).data());
+        convolve_taps(high_taps, width, hl.row(k - out0).data(), hh.row(k - out0).data());
     }
 }
 
@@ -417,142 +474,101 @@ void lifting_row(std::span<const float> x, const LiftingPlan& plan,
                hi.data());
 }
 
-/// Source row of the even (parity == 0) or odd (parity == 1) polyphase
-/// plane at plane index `i`, mapped through the boundary when 2i+parity
-/// falls outside; returns nullptr for a ZeroPad row of zeros.
-[[nodiscard]] const float* polyphase_row(const ImageF& src, std::size_t i, int parity,
-                                         BoundaryMode mode) noexcept {
-    const std::size_t idx = extend_index(
-        static_cast<std::ptrdiff_t>(2 * i) + parity, src.rows(), mode);
-    return idx < src.rows() ? src.row(idx).data() : nullptr;
-}
-
-void lift_col_stage0(const float* __restrict e, const float* __restrict o,
-                     std::size_t w, float t0, float* __restrict u,
-                     float* __restrict v) {
+// One polyphase strip of the column ladder, every stage in registers:
+// stage 0 from the even/odd source rows e/o, then middle stages 1..n-1,
+// each trading the strip's v for the v_{t-1} row the strip below left in
+// vprev row t-1. With `lo` set the final stage shear[n] emits the output
+// row and v_{n-1} moves into vprev row n-1; without (a priming strip, no
+// output yet) the strip's newest v lands there. Per element these are the
+// expressions of the stage-by-stage ladder, so the bits match it. N is n as
+// a compile-time constant, which lets the stage loop unroll and the column
+// loop vectorize; N == 0 takes n at run time.
+template <std::size_t N>
+void lift_col_strip(const float* __restrict e, const float* __restrict o,
+                    std::size_t w, const LiftingPlan& plan, std::size_t n_rt,
+                    float* __restrict vprev, float* __restrict lo,
+                    float* __restrict hi) {
+    const std::size_t n = N != 0 ? N : n_rt;
+    const float* __restrict shear = plan.shear.data();
+    const float sl = plan.scale_lo;
+    const float sh = plan.scale_hi;
     for (std::size_t c = 0; c < w; ++c) {
         const float a = e[c];
         const float b = o[c];
-        u[c] = a + t0 * b;
-        v[c] = b - t0 * a;
+        float u = a + shear[0] * b;
+        float v = b - shear[0] * a;
+        for (std::size_t t = 1; t < n; ++t) {
+            const float below = vprev[(t - 1) * w + c];
+            const float un = u + shear[t] * below;
+            const float vn = below - shear[t] * u;
+            vprev[(t - 1) * w + c] = v;
+            u = un;
+            v = vn;
+        }
+        if (lo != nullptr) {
+            const float below = vprev[(n - 1) * w + c];
+            lo[c] = sl * (u + shear[n] * below);
+            hi[c] = sh * (below - shear[n] * u);
+        }
+        vprev[(n - 1) * w + c] = v;
     }
 }
 
-// Rolling column-stage kernels for the single-pass sweep: a stage consumes
-// v_{t-1}[li+1] from `vprev` and leaves v_{t-1}[li] there for the next
-// (descending) iteration.
-void lift_col_roll(float* __restrict u, float* __restrict v,
-                   float* __restrict vprev, std::size_t w, float t) {
-    for (std::size_t c = 0; c < w; ++c) {
-        const float a = u[c];
-        const float b = vprev[c];
-        u[c] = a + t * b;
-        const float keep = v[c];
-        v[c] = b - t * a;
-        vprev[c] = keep;
-    }
-}
-
-void lift_col_final_roll(const float* __restrict u, const float* __restrict v,
-                         float* __restrict vprev, std::size_t w, float t, float sl,
-                         float sh, float* __restrict dlo, float* __restrict dhi) {
-    for (std::size_t c = 0; c < w; ++c) {
-        const float a = u[c];
-        const float b = vprev[c];
-        dlo[c] = sl * (a + t * b);
-        dhi[c] = sh * (b - t * a);
-        vprev[c] = v[c];
-    }
-}
-
-// Column lifting for one source plane over output rows [k0, k1): writes
-// out_lo (low-pass columns) and out_hi (high-pass columns). Outputs are
+// Column lifting for one source plane over output rows [k0, k1), written at
+// row k - out0 of out_lo (low-pass columns) and out_hi (high-pass columns);
+// row_at(i) is global source row i of a `width`-column plane with
+// `plane_rows` rows (a full ImageF or the tile driver's ring). Outputs are
 // written, not accumulated, and every output row k depends only on source
-// rows 2k .. 2k+taps-1, so any range split reproduces the serial result
-// bit for bit.
-void lifting_cols_plane(const ImageF& src, const LiftingPlan& plan, ImageF& out_lo,
-                        ImageF& out_hi, BoundaryMode mode, std::size_t k0,
-                        std::size_t k1) {
-    // Single descending sweep with rolling per-stage state. Iteration li
-    // computes stage 0 of polyphase strip li, then advances each middle
-    // stage t using v_{t-1}[li+1] stashed in vprev[t-1] by iteration li+1,
-    // and emits output row li once every stage is available. All state
-    // between the source read and the output write is m+1 rows (~L1), so
-    // the pass streams the source once instead of once per stage. Each
-    // output element evaluates exactly the expression tree of the naive
-    // stage-by-stage ladder, so any [k0, k1) split is bit-identical.
-    const std::size_t cols = src.cols();
+// rows 2k .. 2k+taps-1, so any range split, and any column segment,
+// reproduces the full-plane result bit for bit.
+template <typename RowAt>
+void lifting_cols(const RowAt& row_at, std::size_t plane_rows, std::size_t width,
+                  const LiftingPlan& plan, ImageF& out_lo, ImageF& out_hi,
+                  BoundaryMode mode, std::size_t k0, std::size_t k1, std::size_t out0) {
+    // Single descending sweep over polyphase strips. Strip li runs stage 0,
+    // then each middle stage t against v_{t-1}[li+1] left in vprev row t-1
+    // by strip li+1, and emits output row li once every stage is
+    // available. The state between the source read and the output write is
+    // m-1 rows (~L1), so the pass streams the source once instead of once
+    // per stage.
     const std::size_t m = plan.stages();
     const std::size_t ext = m - 1;
     const std::size_t strips_end = k1 + ext;  // strip rows k0 .. strips_end-1
-    thread_local std::vector<float> scratch;
-    if (scratch.size() < (m + 1) * cols) scratch.resize((m + 1) * cols);
-    float* const uwork = scratch.data() + ext * cols;
-    float* const vwork = uwork + cols;
-    const auto vprev = [&](std::size_t t) { return scratch.data() + t * cols; };
+    thread_local std::vector<float> vprev;
+    if (vprev.size() < ext * width) vprev.resize(ext * width);
     std::vector<float> zeros;  // lazily sized; ZeroPad rows only
+    const auto polyphase = [&](std::size_t i, std::size_t parity) -> const float* {
+        const std::size_t idx =
+            extend_index(static_cast<std::ptrdiff_t>(2 * i + parity), plane_rows, mode);
+        if (idx < plane_rows) return row_at(idx);
+        if (zeros.size() != width) zeros.assign(width, 0.0F);
+        return zeros.data();
+    };
     for (std::size_t li = strips_end; li-- > k0;) {
-        const float* e = polyphase_row(src, li, 0, mode);
-        const float* o = polyphase_row(src, li, 1, mode);
-        if (e == nullptr || o == nullptr) {
-            if (zeros.size() != cols) zeros.assign(cols, 0.0F);
-            if (e == nullptr) e = zeros.data();
-            if (o == nullptr) o = zeros.data();
+        const float* e = polyphase(li, 0);
+        const float* o = polyphase(li, 1);
+        if (li >= k1) {
+            // Priming strip: only the stages whose lower neighbour exists.
+            lift_col_strip<0>(e, o, width, plan, std::min(ext, strips_end - li),
+                              vprev.data(), nullptr, nullptr);
+            continue;
         }
-        lift_col_stage0(e, o, cols, plan.shear[0], uwork, vwork);
-        std::size_t t = 1;
-        for (; t + 1 < m && li + t < strips_end; ++t) {
-            lift_col_roll(uwork, vwork, vprev(t - 1), cols, plan.shear[t]);
-        }
-        if (li < k1) {
-            lift_col_final_roll(uwork, vwork, vprev(m - 2), cols, plan.shear[m - 1],
-                                plan.scale_lo, plan.scale_hi, out_lo.row(li).data(),
-                                out_hi.row(li).data());
-        } else {
-            // Priming strip (li >= k1): no output yet; seed the deepest
-            // completed stage's v for the next iteration.
-            float* const dst = vprev(t - 1);
-            for (std::size_t c = 0; c < cols; ++c) dst[c] = vwork[c];
+        float* lo = out_lo.row(li - out0).data();
+        float* hi = out_hi.row(li - out0).data();
+        switch (ext) {
+            case 1: lift_col_strip<1>(e, o, width, plan, 1, vprev.data(), lo, hi); break;
+            case 2: lift_col_strip<2>(e, o, width, plan, 2, vprev.data(), lo, hi); break;
+            case 3: lift_col_strip<3>(e, o, width, plan, 3, vprev.data(), lo, hi); break;
+            default: lift_col_strip<0>(e, o, width, plan, ext, vprev.data(), lo, hi);
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Range/tile variants (ISSUE 9). Each reuses the exact loop bodies above
-// (accumulate_tap, haar_row/haar_col, lift_stage, lift_final, the rolling
-// column kernels), so the per-coefficient float expression trees — and
-// therefore the bits — match the full-plane sweeps.
+// Lifting row range. It reuses the exact loop bodies above (lift_stage,
+// lift_final), so the per-coefficient float expression trees — and
+// therefore the bits — match the full-row sweep.
 // ---------------------------------------------------------------------------
-
-void convolve_row_range(std::span<const float> src, const FilterPair& fp,
-                        std::span<float> dlo, std::span<float> dhi, BoundaryMode mode,
-                        std::size_t k0, std::size_t k1) {
-    const std::size_t cols = src.size();
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    const std::size_t taps = fl.size();
-    for (std::size_t k = k0; k < k1; ++k) {
-        float acc_lo = 0.0F;
-        float acc_hi = 0.0F;
-        if (2 * k + taps <= cols) {
-            const float* base = src.data() + 2 * k;
-            for (std::size_t n = 0; n < taps; ++n) {
-                acc_lo += fl[n] * base[n];
-                acc_hi += fh[n] * base[n];
-            }
-        } else {
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t idx =
-                    extend_index(static_cast<std::ptrdiff_t>(2 * k + n), cols, mode);
-                if (idx >= cols) continue;  // ZeroPad outside
-                acc_lo += fl[n] * src[idx];
-                acc_hi += fh[n] * src[idx];
-            }
-        }
-        dlo[k - k0] = acc_lo;
-        dhi[k - k0] = acc_hi;
-    }
-}
 
 // Lifting ladder over the pair window [k0, k1+ext): stage-0 values are
 // seeded from the global signal (direct loads while the pair is in range,
@@ -595,82 +611,6 @@ void lifting_row_range(std::span<const float> x, const LiftingPlan& plan,
                hi.data());
 }
 
-void convolve_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
-                        std::size_t plane_rows, std::size_t width,
-                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
-                        ImageF& hh, BoundaryMode mode, std::size_t k0,
-                        std::size_t k1) {
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    const std::size_t taps = fl.size();
-    for (std::size_t k = k0; k < k1; ++k) {
-        float* dll = ll.row(k - k0).data();
-        float* dlh = lh.row(k - k0).data();
-        float* dhl = hl.row(k - k0).data();
-        float* dhh = hh.row(k - k0).data();
-        for (std::size_t c0 = 0; c0 < width; c0 += kColTile) {
-            const std::size_t c1 = std::min(width, c0 + kColTile);
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t idx = extend_index(
-                    static_cast<std::ptrdiff_t>(2 * k + n), plane_rows, mode);
-                if (idx >= plane_rows) continue;  // ZeroPad sentinel
-                accumulate_tap(dll, dlh, dhl, dhh, low_row(idx), high_row(idx), fl[n],
-                               fh[n], c0, c1);
-            }
-        }
-    }
-}
-
-/// Accessor-backed polyphase row (the tile twin of polyphase_row).
-[[nodiscard]] const float* tile_polyphase_row(const RowAccessor& row,
-                                              std::size_t plane_rows, std::size_t i,
-                                              int parity, BoundaryMode mode) {
-    const std::size_t idx =
-        extend_index(static_cast<std::ptrdiff_t>(2 * i) + parity, plane_rows, mode);
-    return idx < plane_rows ? row(idx) : nullptr;
-}
-
-// Accessor-backed twin of lifting_cols_plane: the same descending rolling
-// sweep over polyphase strips, restricted to a `width`-column segment and
-// writing outputs at local row li - k0. Every column is independent, so
-// restricting the width changes nothing per element.
-void lifting_cols_tile(const RowAccessor& src_row, std::size_t plane_rows,
-                       std::size_t width, const LiftingPlan& plan, ImageF& out_lo,
-                       ImageF& out_hi, BoundaryMode mode, std::size_t k0,
-                       std::size_t k1) {
-    const std::size_t m = plan.stages();
-    const std::size_t ext = m - 1;
-    const std::size_t strips_end = k1 + ext;  // strip rows k0 .. strips_end-1
-    thread_local std::vector<float> scratch;
-    if (scratch.size() < (m + 1) * width) scratch.resize((m + 1) * width);
-    float* const uwork = scratch.data() + ext * width;
-    float* const vwork = uwork + width;
-    const auto vprev = [&](std::size_t t) { return scratch.data() + t * width; };
-    std::vector<float> zeros;  // lazily sized; ZeroPad rows only
-    for (std::size_t li = strips_end; li-- > k0;) {
-        const float* e = tile_polyphase_row(src_row, plane_rows, li, 0, mode);
-        const float* o = tile_polyphase_row(src_row, plane_rows, li, 1, mode);
-        if (e == nullptr || o == nullptr) {
-            if (zeros.size() != width) zeros.assign(width, 0.0F);
-            if (e == nullptr) e = zeros.data();
-            if (o == nullptr) o = zeros.data();
-        }
-        lift_col_stage0(e, o, width, plan.shear[0], uwork, vwork);
-        std::size_t t = 1;
-        for (; t + 1 < m && li + t < strips_end; ++t) {
-            lift_col_roll(uwork, vwork, vprev(t - 1), width, plan.shear[t]);
-        }
-        if (li < k1) {
-            lift_col_final_roll(uwork, vwork, vprev(m - 2), width, plan.shear[m - 1],
-                                plan.scale_lo, plan.scale_hi,
-                                out_lo.row(li - k0).data(), out_hi.row(li - k0).data());
-        } else {
-            float* const dst = vprev(t - 1);
-            for (std::size_t c = 0; c < width; ++c) dst[c] = vwork[c];
-        }
-    }
-}
-
 }  // namespace
 
 void analyze_1d(std::span<const float> x, const FilterPair& fp, std::span<float> lo,
@@ -696,7 +636,7 @@ void analyze_1d(std::span<const float> x, const FilterPair& fp, std::span<float>
             return;
         }
     }
-    convolve_row(x, fp, lo, hi, mode);
+    convolve_row_range(x, fp, lo, hi, mode, 0, half);
 }
 
 void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, ImageF& hi,
@@ -731,7 +671,7 @@ void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, Imag
         }
     }
     for (std::size_t r = r0; r < r1; ++r) {
-        convolve_row(in.row(r), fp, lo.row(r), hi.row(r), mode);
+        convolve_row_range(in.row(r), fp, lo.row(r), hi.row(r), mode, 0, half);
     }
 }
 
@@ -769,35 +709,26 @@ void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
         }
         const LiftingPlan plan = build_lifting_plan(fp);
         if (plan.valid) {
-            lifting_cols_plane(low_rows, plan, ll, lh, mode, k0, k1);
-            lifting_cols_plane(high_rows, plan, hl, hh, mode, k0, k1);
+            const auto low_at = [&](std::size_t r) { return low_rows.row(r).data(); };
+            const auto high_at = [&](std::size_t r) { return high_rows.row(r).data(); };
+            lifting_cols(low_at, low_rows.rows(), cols, plan, ll, lh, mode, k0, k1, 0);
+            lifting_cols(high_at, high_rows.rows(), cols, plan, hl, hh, mode, k0, k1, 0);
             return;
         }
     }
-    convolve_cols_range(low_rows, high_rows, fp, ll, lh, hl, hh, mode, k0, k1);
+    const auto low_at = [&low_rows](std::size_t r) { return low_rows.row(r).data(); };
+    const auto high_at = [&high_rows](std::size_t r) { return high_rows.row(r).data(); };
+    convolve_cols(low_at, high_at, low_rows.rows(), false, cols, fp, ll, lh, hl, hh, mode,
+                  k0, k1, 0);
 }
 
 void analyze_cols_ext_range(const ImageF& low_ext, const ImageF& high_ext,
                             const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                             ImageF& hh, std::size_t k0, std::size_t k1) {
-    const std::size_t cols = low_ext.cols();
-    const auto fl = fp.low();
-    const auto fh = fp.high();
-    const std::size_t taps = fl.size();
-    for (std::size_t k = k0; k < k1; ++k) {
-        float* dll = ll.row(k).data();
-        float* dlh = lh.row(k).data();
-        float* dhl = hl.row(k).data();
-        float* dhh = hh.row(k).data();
-        for (std::size_t c0 = 0; c0 < cols; c0 += kColTile) {
-            const std::size_t c1 = std::min(cols, c0 + kColTile);
-            for (std::size_t n = 0; n < taps; ++n) {
-                const std::size_t src_row = 2 * k + n;  // pre-extended: no mapping
-                accumulate_tap(dll, dlh, dhl, dhh, low_ext.row(src_row).data(),
-                               high_ext.row(src_row).data(), fl[n], fh[n], c0, c1);
-            }
-        }
-    }
+    const auto low_at = [&low_ext](std::size_t r) { return low_ext.row(r).data(); };
+    const auto high_at = [&high_ext](std::size_t r) { return high_ext.row(r).data(); };
+    convolve_cols(low_at, high_at, low_ext.rows(), true, low_ext.cols(), fp, ll, lh, hl,
+                  hh, BoundaryMode::Periodic, k0, k1, 0);
 }
 
 void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
@@ -863,13 +794,13 @@ void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
         }
         const LiftingPlan plan = build_lifting_plan(fp);
         if (plan.valid) {
-            lifting_cols_tile(low_row, plane_rows, width, plan, ll, lh, mode, k0, k1);
-            lifting_cols_tile(high_row, plane_rows, width, plan, hl, hh, mode, k0, k1);
+            lifting_cols(low_row, plane_rows, width, plan, ll, lh, mode, k0, k1, k0);
+            lifting_cols(high_row, plane_rows, width, plan, hl, hh, mode, k0, k1, k0);
             return;
         }
     }
-    convolve_cols_tile(low_row, high_row, plane_rows, width, fp, ll, lh, hl, hh, mode,
-                       k0, k1);
+    convolve_cols(low_row, high_row, plane_rows, false, width, fp, ll, lh, hl, hh, mode,
+                  k0, k1, k0);
 }
 
 void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& lh,
@@ -882,8 +813,6 @@ void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& l
     ImageF low_rows(in.rows(), half_c);
     ImageF high_rows(in.rows(), half_c);
     analyze_rows_range(in, fp, low_rows, high_rows, mode, kernel, 0, in.rows());
-    // Freshly constructed images are zero-filled, which the convolve
-    // accumulation path relies on.
     ll = ImageF(half_r, half_c);
     lh = ImageF(half_r, half_c);
     hl = ImageF(half_r, half_c);

@@ -7,10 +7,13 @@
 // Two kernels implement the per-level analysis:
 //
 //   * Convolve — the paper's separable filter+decimate sweeps, fused so
-//     one row pass emits both row bands and one cache-tiled column pass
-//     emits all four subbands. Bit-identical to the historical
-//     convolve_decimate_* reference (same per-coefficient accumulation
-//     order); this is the golden kernel.
+//     one row pass emits both row bands and one column pass emits all four
+//     subbands. Both passes run one tap-list kernel that keeps each
+//     output's accumulators in registers across the taps (the compiler
+//     vectorizes the output loop; the row pass reads the even/odd halves
+//     of the row, so every load is unit-stride) and writes each output
+//     once. Bit-identical to the historical convolve_decimate_* reference
+//     (same per-coefficient accumulation order); this is the golden kernel.
 //
 //   * Lifting — a fused in-place factorization of the analysis polyphase
 //     matrix into taps/2 plane-rotation stages (the paraunitary lattice
@@ -125,8 +128,8 @@ void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, Imag
 
 /// Fused column analysis over output rows [k0, k1): one sweep over the two
 /// row-band intermediates produces all four subbands. Outputs must be
-/// (rows/2, cols); freshly constructed (zero) rows are assumed for the
-/// Convolve accumulation path.
+/// (rows/2, cols); every kernel writes each output element once, so their
+/// prior contents do not matter.
 void analyze_cols_range(const ImageF& low_rows, const ImageF& high_rows,
                         const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                         ImageF& hh, BoundaryMode mode, DwtKernel kernel,
@@ -166,8 +169,8 @@ using RowAccessor = std::function<const float*(std::size_t)>;
 
 /// Fused column analysis of one tile: output rows [k0, k1) of a plane
 /// with `plane_rows` global row-band rows, over a `width`-column segment.
-/// Outputs are (k1-k0, width) and written at LOCAL row k-k0 (the Convolve
-/// path accumulates, so they must start zeroed). Row k touches global
+/// Outputs are (k1-k0, width) and written at LOCAL row k-k0, each element
+/// once (prior contents do not matter). Row k touches global
 /// rows 2k .. 2k+taps-1 mapped through `mode`, so the accessors are only
 /// asked for rows the boundary maps into [0, plane_rows).
 void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,

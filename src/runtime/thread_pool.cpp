@@ -15,6 +15,10 @@ namespace {
 // in a blocking wait.
 thread_local ThreadPool* tls_worker_pool = nullptr;
 
+// True while this thread runs a task it stole as a helping waiter
+// (try_help_one), so the ranges it claims count as helper work.
+thread_local bool tls_helping = false;
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t workers) {
@@ -69,7 +73,10 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::run_task(Task& task) {
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    if (task.counted) {
+        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+        if (tls_helping) helper_tasks_.fetch_add(1, std::memory_order_relaxed);
+    }
     if (task.group == nullptr) {
         // Plain submit(): no join exists to deliver an exception to, so a
         // throw propagates out of the worker and terminates (documented).
@@ -102,9 +109,11 @@ bool ThreadPool::try_help_one() {
         observer = task_observer_;
         ++busy_;
     }
-    helper_tasks_.fetch_add(1, std::memory_order_relaxed);
     if (observer) (*observer)();
+    const bool was_helping = tls_helping;
+    tls_helping = true;
     run_task(task);
+    tls_helping = was_helping;
     {
         std::lock_guard lk(mu_);
         --busy_;
@@ -205,42 +214,60 @@ void ThreadPool::wait_idle() {
     cv_idle_.wait(lk, [this] { return queues_empty() && busy_ == 0; });
 }
 
-void ThreadPool::parallel_for(std::size_t first, std::size_t last,
-                              const std::function<void(std::size_t, std::size_t)>& fn) {
-    if (first >= last) return;
-    const std::size_t n = last - first;
-    const std::size_t parts = std::min(n, workers());
+void ThreadPool::run_parts(ForkJoin& fj, bool joining) {
+    for (;;) {
+        const std::size_t p = fj.next.fetch_add(1);
+        if (p >= fj.parts) return;  // none left: touch neither part nor group
+        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+        if (joining || tls_helping) {
+            helper_tasks_.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::exception_ptr error;
+        try {
+            (*fj.part)(p);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        fj.group->complete(std::move(error));
+    }
+}
+
+void ThreadPool::fork_join(std::size_t parts,
+                           const std::function<void(std::size_t)>& part) {
     if (parts <= 1) {
-        // Single chunk (or 1-worker pool): run inline on the caller — no
+        // Single range (or 1-worker pool): run inline on the caller — no
         // queue round-trip, and trivially correct when nested.
         tasks_executed_.fetch_add(1, std::memory_order_relaxed);
         groups_completed_.fetch_add(1, std::memory_order_relaxed);
-        fn(first, last);
+        part(0);
         return;
     }
-
     TaskGroup& group = acquire_group();
-    group.add(parts);
-    // Stage every chunk, then queue them all under one lock + one notify
-    // (enqueue_bulk) — per-chunk round-trips dominated dispatch cost for
-    // short sweeps, and batched flights multiply the chunk count.
-    std::vector<Task> chunks;
-    chunks.reserve(parts);
-    for (std::size_t p = 0; p < parts; ++p) {
-        const std::size_t chunk_first = first + n * p / parts;
-        const std::size_t chunk_last = first + n * (p + 1) / parts;
-        chunks.push_back(Task{
-            [&fn, chunk_first, chunk_last] { fn(chunk_first, chunk_last); }, &group});
+    group.add(parts);  // the latch counts ranges, not helper tasks
+    // The claim counter lives in a per-call block the helpers share, not in
+    // the recycled group: a helper dequeued after this call returned must
+    // find every range claimed, never a range of a later loop.
+    const auto fj = std::make_shared<ForkJoin>();
+    fj->parts = parts;
+    fj->part = &part;
+    fj->group = &group;
+    std::vector<Task> helpers;
+    helpers.reserve(parts - 1);
+    for (std::size_t h = 0; h + 1 < parts; ++h) {
+        helpers.push_back(Task{[this, fj] { run_parts(*fj, false); }, nullptr, false});
     }
     try {
-        enqueue_bulk(chunks);
+        enqueue_bulk(helpers);
     } catch (...) {
-        // Refused (pool stopping): nothing was enqueued — balance the whole
-        // latch and hand the group back.
+        // Refused (pool stopping): nothing was enqueued or claimed — balance
+        // the whole latch and hand the group back.
         for (std::size_t p = 0; p < parts; ++p) group.complete(nullptr);
         release_group(group);
         throw;
     }
+    // The caller works its own loop instead of sleeping: it claims ranges
+    // until none are left, then joins the ranges the helpers took.
+    run_parts(*fj, true);
     try {
         wait(group);
     } catch (...) {
@@ -248,6 +275,16 @@ void ThreadPool::parallel_for(std::size_t first, std::size_t last,
         throw;
     }
     release_group(group);
+}
+
+void ThreadPool::parallel_for(std::size_t first, std::size_t last,
+                              const std::function<void(std::size_t, std::size_t)>& fn) {
+    if (first >= last) return;
+    const std::size_t n = last - first;
+    const std::size_t parts = std::min(n, workers());
+    fork_join(parts, [&](std::size_t p) {
+        fn(first + n * p / parts, first + n * (p + 1) / parts);
+    });
 }
 
 void ThreadPool::parallel_for_2d(
@@ -260,44 +297,12 @@ void ThreadPool::parallel_for_2d(
     const std::size_t row_parts = std::min(nr, workers());
     const std::size_t col_parts =
         std::min(nc, std::max<std::size_t>(1, workers() / row_parts));
-    if (row_parts * col_parts <= 1) {
-        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-        groups_completed_.fetch_add(1, std::memory_order_relaxed);
-        fn(row_first, row_last, col_first, col_last);
-        return;
-    }
-
-    TaskGroup& group = acquire_group();
-    group.add(row_parts * col_parts);
-    std::vector<Task> tiles;
-    tiles.reserve(row_parts * col_parts);
-    for (std::size_t i = 0; i < row_parts; ++i) {
-        const std::size_t rb = row_first + nr * i / row_parts;
-        const std::size_t re = row_first + nr * (i + 1) / row_parts;
-        for (std::size_t j = 0; j < col_parts; ++j) {
-            const std::size_t cb = col_first + nc * j / col_parts;
-            const std::size_t ce = col_first + nc * (j + 1) / col_parts;
-            tiles.push_back(Task{[&fn, rb, re, cb, ce] { fn(rb, re, cb, ce); }, &group});
-        }
-    }
-    try {
-        enqueue_bulk(tiles);
-    } catch (...) {
-        // Refused (pool stopping): nothing was enqueued — balance the whole
-        // latch and hand the group back.
-        for (std::size_t p = 0; p < row_parts * col_parts; ++p) {
-            group.complete(nullptr);
-        }
-        release_group(group);
-        throw;
-    }
-    try {
-        wait(group);
-    } catch (...) {
-        release_group(group);
-        throw;
-    }
-    release_group(group);
+    fork_join(row_parts * col_parts, [&](std::size_t p) {
+        const std::size_t i = p / col_parts;
+        const std::size_t j = p % col_parts;
+        fn(row_first + nr * i / row_parts, row_first + nr * (i + 1) / row_parts,
+           col_first + nc * j / col_parts, col_first + nc * (j + 1) / col_parts);
+    });
 }
 
 PoolMetrics ThreadPool::metrics() const {

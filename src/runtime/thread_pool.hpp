@@ -31,8 +31,12 @@ namespace wavehpc::runtime {
 /// Snapshot with ThreadPool::metrics(); subtract two snapshots to meter a
 /// region.
 struct PoolMetrics {
-    std::uint64_t tasks_executed = 0;    ///< tasks run, by workers or helpers
-    std::uint64_t helper_tasks = 0;      ///< subset run by waiters helping
+    /// parallel_for ranges run plus submitted tasks run (a parallel_for
+    /// helper task counts only through the ranges it claims).
+    std::uint64_t tasks_executed = 0;
+    /// Subset run by a joining thread: ranges the caller of parallel_for
+    /// claimed itself, and ranges or tasks a helping waiter ran.
+    std::uint64_t helper_tasks = 0;
     std::uint64_t groups_completed = 0;  ///< parallel_for / group joins
     std::uint64_t queue_high_water = 0;  ///< max tasks ever queued at once
     double idle_seconds = 0.0;           ///< total worker time blocked for work
@@ -57,20 +61,23 @@ public:
 
     [[nodiscard]] std::size_t workers() const noexcept { return threads_.size(); }
 
-    /// Run fn(begin, end) over [first, last) split into roughly equal chunks,
-    /// one per worker (static scheduling, like an OpenMP static for).
-    /// Blocks until every chunk finished; rethrows the single worker
-    /// exception, or ParallelGroupError when several chunks threw.
-    /// A single-chunk range runs inline on the caller. Safe to call from
-    /// inside a worker (the nested wait helps drain the queue) and from
-    /// many caller threads concurrently.
+    /// Run fn(begin, end) over [first, last) split into min(n, workers())
+    /// roughly equal static ranges (like an OpenMP static for). The caller
+    /// queues one helper task per range but one, then claims ranges itself
+    /// until none are left, so it works instead of sleeping and a loop
+    /// finishes even while every worker is busy. Blocks until every range
+    /// finished; rethrows the single exception, or ParallelGroupError when
+    /// several ranges threw. A single range runs inline on the caller. Safe
+    /// to call from inside a worker (the nested wait helps drain the queue)
+    /// and from many caller threads concurrently.
     void parallel_for(std::size_t first, std::size_t last,
                       const std::function<void(std::size_t, std::size_t)>& fn);
 
     /// 2-D variant: run fn(rb, re, cb, ce) over the rectangle
     /// [row_first, row_last) x [col_first, col_last) split into tiles
     /// (rows split first; columns split when there are fewer rows than
-    /// workers). Same blocking/exception semantics as parallel_for.
+    /// workers). Same fork-join, blocking and exception semantics as
+    /// parallel_for.
     void parallel_for_2d(std::size_t row_first, std::size_t row_last,
                          std::size_t col_first, std::size_t col_last,
                          const std::function<void(std::size_t, std::size_t,
@@ -118,8 +125,9 @@ public:
     /// every *queued* task executes, on the executing thread, outside the
     /// pool lock. This is the fault-injection seam the chaos layer uses to
     /// stall a seeded fraction of dispatches (svc::ChaosEngine); it must
-    /// be cheap and must not throw. Inline-run single-chunk parallel_for
-    /// calls bypass the queue and are not observed. Thread-safe to swap
+    /// be cheap and must not throw. Ranges the caller of parallel_for runs
+    /// itself bypass the queue and are not observed (queued helper tasks
+    /// are, before they claim a range). Thread-safe to swap
     /// while workers run; tasks already popped keep the observer they saw.
     void set_task_observer(std::function<void()> observer);
 
@@ -127,15 +135,34 @@ private:
     struct Task {
         std::function<void()> fn;
         TaskGroup* group = nullptr;  ///< completion latch; null for submit()
+        bool counted = true;         ///< false for parallel_for helpers
     };
+
+    /// Shared state of one parallel_for call. Helpers hold it by shared_ptr,
+    /// so a helper dequeued after the call returned still reads a live
+    /// counter, finds every range claimed, and returns without touching
+    /// `part` or `group` (both gone or recycled by then).
+    struct ForkJoin {
+        std::atomic<std::size_t> next{0};  ///< next unclaimed range
+        std::size_t parts = 0;
+        const std::function<void(std::size_t)>* part = nullptr;
+        TaskGroup* group = nullptr;  ///< latch over the `parts` ranges
+    };
+
+    /// The parallel_for / parallel_for_2d core: run part(p) for every p in
+    /// [0, parts), on the caller and on parts-1 queued helpers.
+    void fork_join(std::size_t parts, const std::function<void(std::size_t)>& part);
+    /// Claim and run ranges of `fj` until none are left. `joining` marks the
+    /// calling thread of parallel_for (its ranges count as helper work).
+    void run_parts(ForkJoin& fj, bool joining);
 
     void worker_loop();
     void run_task(Task& task);
     bool try_help_one();  ///< steal one queued task; false if queues empty
     void enqueue(Task task, TaskPriority priority = TaskPriority::Normal);
     /// Queue every task under ONE lock acquisition and one notify_all —
-    /// the parallel_for dispatch path (ISSUE 8): a W-chunk sweep used to
-    /// pay W lock/notify round-trips per level. All-or-nothing: throws
+    /// the parallel_for dispatch path: a W-range sweep used to pay W
+    /// lock/notify round-trips per level. All-or-nothing: throws
     /// (pool stopping) with no task enqueued. `tasks` is consumed.
     void enqueue_bulk(std::vector<Task>& tasks,
                       TaskPriority priority = TaskPriority::Normal);

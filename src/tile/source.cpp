@@ -21,15 +21,25 @@ namespace {
 
 [[nodiscard]] float smoothstep(float t) noexcept { return t * t * (3.0F - 2.0F * t); }
 
+// Lattice cells are at most 64 pixels wide (octave 0), so the horizontal
+// weights of one cell fit one table.
+constexpr std::size_t kMaxCell = 64;
+
 // Add one octave of bilinear value noise to a row: the two lattice rows
 // bracketing `r` are hashed once per lattice COLUMN and interpolated
 // across the cell, so cost is ~2 hashes per `cell` pixels instead of 4
-// per pixel — this is what keeps a 16k x 16k synthetic scene cheap.
+// per pixel — this is what keeps a 16k x 16k synthetic scene cheap. The
+// horizontal weights smoothstep(i / cell) repeat in every cell, so one
+// table per call holds them, built with the same expression (same bits).
 void add_octave_row(std::uint64_t seed, std::size_t r, std::size_t cols,
                     std::size_t cell, float amp, float* dst) {
     const std::uint64_t gy = r / cell;
     const float ty = smoothstep(static_cast<float>(r % cell) /
                                 static_cast<float>(cell));
+    float weight[kMaxCell];
+    for (std::size_t i = 0; i < cell; ++i) {
+        weight[i] = smoothstep(static_cast<float>(i) / static_cast<float>(cell));
+    }
     std::size_t c = 0;
     std::uint64_t gx = 0;
     float left = (1.0F - ty) * hash01(seed, gx, gy) + ty * hash01(seed, gx, gy + 1);
@@ -38,8 +48,7 @@ void add_octave_row(std::uint64_t seed, std::size_t r, std::size_t cols,
                             ty * hash01(seed, gx + 1, gy + 1);
         const std::size_t span = std::min(cell, cols - c);
         for (std::size_t i = 0; i < span; ++i) {
-            const float tx = smoothstep(static_cast<float>(i) /
-                                        static_cast<float>(cell));
+            const float tx = weight[i];
             dst[c + i] += amp * ((1.0F - tx) * left + tx * right);
         }
         c += span;
@@ -75,7 +84,7 @@ void SyntheticTileSource::read_rows(std::size_t y0, std::size_t n,
         // radiometrically plausible [0, 255]-ish range.
         float amp = 160.0F;
         for (int o = 0; o < octaves_; ++o) {
-            const std::size_t cell = std::max<std::size_t>(4, 64 >> o);
+            const std::size_t cell = std::max<std::size_t>(4, kMaxCell >> o);
             add_octave_row(seed_ + static_cast<std::uint64_t>(o) * 0x51ed270b9ULL, r,
                            cols_, cell, amp, row);
             amp *= 0.5F;

@@ -51,21 +51,20 @@ public:
           kernel_(kernel),
           sink_(sink),
           buffers_(buffers),
-          zero_tiles_(kernel == core::DwtKernel::Convolve),
           start_(std::chrono::steady_clock::now()) {
         states_.resize(plan_.level.size());
         for (std::size_t l = 0; l < states_.size(); ++l) {
             const LevelGeometry& g = plan_.level[l];
             LevelState& st = states_[l];
-            st.lo_ring = obtain(g.ring_rows, g.out_cols, false);
-            st.hi_ring = obtain(g.ring_rows, g.out_cols, false);
+            st.lo_ring = obtain(g.ring_rows, g.out_cols);
+            st.hi_ring = obtain(g.ring_rows, g.out_cols);
             if (g.head_rows > 0) {
-                st.lo_head = obtain(g.head_rows, g.out_cols, false);
-                st.hi_head = obtain(g.head_rows, g.out_cols, false);
+                st.lo_head = obtain(g.head_rows, g.out_cols);
+                st.hi_head = obtain(g.head_rows, g.out_cols);
             }
             if (l + 1 < states_.size()) {
                 st.ll_band =
-                    obtain(std::min(plan_.tile_rows, g.out_rows), g.out_cols, false);
+                    obtain(std::min(plan_.tile_rows, g.out_rows), g.out_cols);
             }
         }
     }
@@ -80,9 +79,9 @@ public:
         }
     }
 
-    [[nodiscard]] ImageF obtain(std::size_t rows, std::size_t cols, bool zeroed) {
+    [[nodiscard]] ImageF obtain(std::size_t rows, std::size_t cols) {
         meter_.add(rows * cols);
-        return core::obtain_image(buffers_, rows, cols, zeroed);
+        return core::obtain_image(buffers_, rows, cols, false);
     }
 
     void recycle(ImageF&& img) {
@@ -187,10 +186,10 @@ private:
             const std::size_t c0 = tj * plan_.tile_cols;
             const std::size_t c1 = std::min(g.out_cols, c0 + plan_.tile_cols);
             const std::size_t tw = c1 - c0;
-            ImageF ll = obtain(th, tw, zero_tiles_);
-            ImageF lh = obtain(th, tw, zero_tiles_);
-            ImageF hl = obtain(th, tw, zero_tiles_);
-            ImageF hh = obtain(th, tw, zero_tiles_);
+            ImageF ll = obtain(th, tw);
+            ImageF lh = obtain(th, tw);
+            ImageF hl = obtain(th, tw);
+            ImageF hh = obtain(th, tw);
             const core::RowAccessor lo_at = [this, &st, &g, c0](std::size_t r) {
                 return ring_row(st, g, true, r) + c0;
             };
@@ -233,7 +232,6 @@ private:
     const core::DwtKernel kernel_;
     TileSink& sink_;
     core::FloatBufferSource& buffers_;
-    const bool zero_tiles_;
     const std::chrono::steady_clock::time_point start_;
     std::vector<LevelState> states_;
     ResidentMeter meter_;
@@ -257,7 +255,7 @@ TileStreamStats stream_decompose(TileSource& src, const core::FilterPair& fp,
     // Ingest in bands of tile_rows full-width rows; only this staging band
     // of the source is ever materialized.
     const std::size_t band = std::min(cfg.tile_rows, src.rows());
-    ImageF staging = ctx.obtain(band, src.cols(), false);
+    ImageF staging = ctx.obtain(band, src.cols());
     for (std::size_t y0 = 0; y0 < src.rows(); y0 += band) {
         const std::size_t n = std::min(band, src.rows() - y0);
         src.read_rows(y0, n, staging.flat().first(n * src.cols()));

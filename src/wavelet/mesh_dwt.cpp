@@ -42,9 +42,7 @@ void row_pass(const core::ImageF& in, const core::FilterPair& fp,
 
 void col_pass(const core::ImageF& low_ext, const core::ImageF& high_ext,
               const core::FilterPair& fp, core::ImageF& ll, core::DetailBands& bands) {
-    // Output row k (stripe-local) reads extended rows 2k .. 2k+taps-1; the
-    // outputs are freshly constructed (zero) stripes, as the fused convolve
-    // accumulation requires.
+    // Output row k (stripe-local) reads extended rows 2k .. 2k+taps-1.
     core::analyze_cols_ext_range(low_ext, high_ext, fp, ll, bands.lh, bands.hl,
                                  bands.hh, 0, ll.rows());
 }

@@ -7,6 +7,37 @@
 
 namespace wavehpc::wavelet {
 
+namespace {
+
+// Row-pass intermediates are scratch: the row pass writes every element and
+// each level drops them at its end. Without a caller buffer source every
+// calling thread keeps the last few and hands them out again by exact size,
+// so a call does not allocate and zero-fill two planes per level on the
+// caller ahead of the parallel sweeps.
+class RowScratch final : public core::FloatBufferSource {
+public:
+    [[nodiscard]] std::vector<float> obtain(std::size_t n, bool zeroed) override {
+        for (auto it = spare_.begin(); it != spare_.end(); ++it) {
+            if (it->size() != n) continue;
+            std::vector<float> buf = std::move(*it);
+            spare_.erase(it);
+            if (zeroed) std::fill(buf.begin(), buf.end(), 0.0F);
+            return buf;
+        }
+        return std::vector<float>(n);
+    }
+    void recycle(std::vector<float>&& buf) override {
+        if (spare_.size() == kKeep) spare_.erase(spare_.begin());
+        spare_.push_back(std::move(buf));
+    }
+
+private:
+    static constexpr std::size_t kKeep = 8;  // two per level of a 4-level call
+    std::vector<std::vector<float>> spare_;
+};
+
+}  // namespace
+
 core::ImageF reconstruct_parallel(const core::Pyramid& pyr, const core::FilterPair& fp,
                                   runtime::ThreadPool& pool, core::BoundaryMode mode) {
     if (pyr.depth() == 0) {
@@ -87,9 +118,8 @@ std::vector<core::Pyramid> decompose_batch(
     kernel = core::resolve_dwt_kernel(kernel, fp);  // resolve once for all levels
     core::HeapBufferSource heap;
     core::FloatBufferSource& src = buffers != nullptr ? *buffers : heap;
-    // Only the convolve column pass accumulates into its outputs; row and
-    // lifting passes write every element and take their buffers dirty.
-    const bool zero_cols = kernel == core::DwtKernel::Convolve;
+    thread_local RowScratch row_scratch;
+    core::FloatBufferSource& scratch = buffers != nullptr ? *buffers : row_scratch;
 
     std::vector<core::Pyramid> out(batch);
     for (auto& p : out) p.levels.reserve(static_cast<std::size_t>(levels));
@@ -103,8 +133,8 @@ std::vector<core::Pyramid> decompose_batch(
         const std::size_t half_r = rows / 2;
         const std::size_t half_c = cols / 2;
         for (std::size_t b = 0; b < batch; ++b) {
-            low_rows[b] = core::obtain_image(src, rows, half_c, false);
-            high_rows[b] = core::obtain_image(src, rows, half_c, false);
+            low_rows[b] = core::obtain_image(scratch, rows, half_c, false);
+            high_rows[b] = core::obtain_image(scratch, rows, half_c, false);
         }
         // One fused row sweep over the global index space [0, batch*rows):
         // global index g addresses row g%rows of image g/rows. A chunk
@@ -135,11 +165,11 @@ std::vector<core::Pyramid> decompose_batch(
 
         std::vector<core::ImageF> ll(batch);
         for (std::size_t b = 0; b < batch; ++b) {
-            ll[b] = core::obtain_image(src, half_r, half_c, zero_cols);
+            ll[b] = core::obtain_image(src, half_r, half_c, false);
             core::DetailBands d;
-            d.lh = core::obtain_image(src, half_r, half_c, zero_cols);
-            d.hl = core::obtain_image(src, half_r, half_c, zero_cols);
-            d.hh = core::obtain_image(src, half_r, half_c, zero_cols);
+            d.lh = core::obtain_image(src, half_r, half_c, false);
+            d.hl = core::obtain_image(src, half_r, half_c, false);
+            d.hh = core::obtain_image(src, half_r, half_c, false);
             out[b].levels.push_back(std::move(d));
         }
         // One fused column sweep over [0, batch*half_r).
@@ -162,8 +192,8 @@ std::vector<core::Pyramid> decompose_batch(
             col_sweep(0, batch * half_r);
         }
         for (std::size_t b = 0; b < batch; ++b) {
-            src.recycle(low_rows[b].release_data());
-            src.recycle(high_rows[b].release_data());
+            scratch.recycle(low_rows[b].release_data());
+            scratch.recycle(high_rows[b].release_data());
         }
         current = std::move(ll);
         rows = half_r;

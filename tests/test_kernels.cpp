@@ -9,8 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/convolve.hpp"
@@ -151,6 +155,256 @@ TEST(LiftingPlan, UnfactorizableFilterIsRejectedNotMisused) {
     EXPECT_FALSE(plan.valid);
     EXPECT_EQ(wavehpc::core::resolve_dwt_kernel(DwtKernel::Lifting, box),
               DwtKernel::Convolve);
+}
+
+// ------------------------------------------- convolve against the reference
+//
+// The register-blocked convolve kernels must reproduce the unfused
+// convolve_decimate_rows/cols reference bit for bit, wherever they run:
+// full planes, output sub-ranges, tile slivers and the mesh backend's
+// pre-extended stripes. Inputs are signed and carry blocks of -0.0f: a
+// window of -0.0f samples under positive taps sums to +0.0f only when the
+// accumulator starts at +0.0f, as the reference does.
+
+constexpr std::size_t kWidths[] = {2, 6, 18, 34, 130, 512};
+
+ImageF signed_scene(std::size_t rows, std::size_t cols, std::uint64_t seed) {
+    ImageF img = scene(rows, cols, seed);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) {
+            const bool zero_band = (c >= cols / 4 && c < cols / 4 + 8) ||
+                                   (r >= rows / 4 && r < rows / 4 + 8);
+            img(r, c) = zero_band ? -0.0F : img(r, c) - 100.0F;
+        }
+    }
+    return img;
+}
+
+[[nodiscard]] bool same_bits(const float* a, const float* b, std::size_t n) {
+    return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+[[nodiscard]] bool same_bits(const ImageF& a, const ImageF& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           same_bits(a.flat().data(), b.flat().data(), a.size());
+}
+
+/// Output planes pre-filled with garbage: the kernels write every element,
+/// so nothing may depend on the outputs starting zeroed.
+[[nodiscard]] ImageF dirty(std::size_t rows, std::size_t cols) {
+    return ImageF(rows, cols, std::vector<float>(rows * cols, 12345.0F));
+}
+
+struct ColRef {
+    ImageF ll, lh, hl, hh;
+};
+
+[[nodiscard]] ColRef column_reference(const ImageF& low, const ImageF& high,
+                                      const FilterPair& fp, BoundaryMode mode) {
+    ColRef ref;
+    wavehpc::core::convolve_decimate_cols(low, fp.low(), ref.ll, mode);
+    wavehpc::core::convolve_decimate_cols(low, fp.high(), ref.lh, mode);
+    wavehpc::core::convolve_decimate_cols(high, fp.low(), ref.hl, mode);
+    wavehpc::core::convolve_decimate_cols(high, fp.high(), ref.hh, mode);
+    return ref;
+}
+
+TEST(ConvolveKernel, RowPassMatchesReferenceEveryBankModeWidth) {
+    for (const int taps : kTaps) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (const BoundaryMode mode : kModes) {
+            for (const std::size_t w : kWidths) {
+                const ImageF img = signed_scene(4, w, 7 + w);
+                ImageF ref_lo, ref_hi;
+                wavehpc::core::convolve_decimate_rows(img, fp.low(), ref_lo, mode);
+                wavehpc::core::convolve_decimate_rows(img, fp.high(), ref_hi, mode);
+                ImageF lo = dirty(4, w / 2);
+                ImageF hi = dirty(4, w / 2);
+                wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode,
+                                                  DwtKernel::Convolve, 0, 4);
+                EXPECT_TRUE(same_bits(lo, ref_lo)) << "taps " << taps << " w " << w;
+                EXPECT_TRUE(same_bits(hi, ref_hi)) << "taps " << taps << " w " << w;
+            }
+        }
+    }
+}
+
+TEST(ConvolveKernel, RowRangesMatchReferenceForEverySplit) {
+    for (const int taps : kTaps) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (const BoundaryMode mode : kModes) {
+            for (const std::size_t w : kWidths) {
+                if (w > 34) continue;
+                const ImageF img = signed_scene(1, w, 3 + w);
+                const std::size_t half = w / 2;
+                std::vector<float> ref_lo(half), ref_hi(half);
+                wavehpc::core::convolve_decimate_1d(img.row(0), fp.low(), ref_lo, mode);
+                wavehpc::core::convolve_decimate_1d(img.row(0), fp.high(), ref_hi, mode);
+                for (std::size_t k0 = 0; k0 <= half; ++k0) {
+                    for (std::size_t k1 = k0; k1 <= half; ++k1) {
+                        std::vector<float> lo(k1 - k0, 12345.0F), hi(k1 - k0, 12345.0F);
+                        wavehpc::core::analyze_1d_range(img.row(0), fp, lo, hi, mode,
+                                                        DwtKernel::Convolve, k0, k1);
+                        EXPECT_TRUE(same_bits(lo.data(), ref_lo.data() + k0, k1 - k0))
+                            << "taps " << taps << " w " << w << " [" << k0 << "," << k1
+                            << ")";
+                        EXPECT_TRUE(same_bits(hi.data(), ref_hi.data() + k0, k1 - k0))
+                            << "taps " << taps << " w " << w << " [" << k0 << "," << k1
+                            << ")";
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvolveKernel, ColumnPassMatchesReferenceEveryBankModeHeight) {
+    for (const int taps : kTaps) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (const BoundaryMode mode : kModes) {
+            for (const std::size_t h : kWidths) {
+                // 37 columns: two full 16-lane blocks and a 5-column tail.
+                const ImageF low = signed_scene(h, 37, 11 + h);
+                const ImageF high = signed_scene(h, 37, 13 + h);
+                const ColRef ref = column_reference(low, high, fp, mode);
+                const std::size_t half = h / 2;
+                ImageF ll = dirty(half, 37), lh = dirty(half, 37);
+                ImageF hl = dirty(half, 37), hh = dirty(half, 37);
+                wavehpc::core::analyze_cols_range(low, high, fp, ll, lh, hl, hh, mode,
+                                                  DwtKernel::Convolve, 0, half);
+                const std::string tag =
+                    "taps " + std::to_string(taps) + " h " + std::to_string(h);
+                EXPECT_TRUE(same_bits(ll, ref.ll)) << tag;
+                EXPECT_TRUE(same_bits(lh, ref.lh)) << tag;
+                EXPECT_TRUE(same_bits(hl, ref.hl)) << tag;
+                EXPECT_TRUE(same_bits(hh, ref.hh)) << tag;
+            }
+        }
+    }
+}
+
+TEST(ConvolveKernel, ColumnRangesMatchReferenceForEverySplit) {
+    for (const int taps : kTaps) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (const BoundaryMode mode : kModes) {
+            for (const std::size_t h : kWidths) {
+                if (h > 34) continue;
+                const ImageF low = signed_scene(h, 19, 5 + h);
+                const ImageF high = signed_scene(h, 19, 9 + h);
+                const ColRef ref = column_reference(low, high, fp, mode);
+                const std::size_t half = h / 2;
+                for (std::size_t k0 = 0; k0 <= half; ++k0) {
+                    for (std::size_t k1 = k0; k1 <= half; ++k1) {
+                        ImageF ll = dirty(half, 19), lh = dirty(half, 19);
+                        ImageF hl = dirty(half, 19), hh = dirty(half, 19);
+                        wavehpc::core::analyze_cols_range(low, high, fp, ll, lh, hl, hh,
+                                                          mode, DwtKernel::Convolve, k0,
+                                                          k1);
+                        for (std::size_t k = k0; k < k1; ++k) {
+                            ASSERT_TRUE(same_bits(ll.row(k).data(), ref.ll.row(k).data(), 19) &&
+                                        same_bits(lh.row(k).data(), ref.lh.row(k).data(), 19) &&
+                                        same_bits(hl.row(k).data(), ref.hl.row(k).data(), 19) &&
+                                        same_bits(hh.row(k).data(), ref.hh.row(k).data(), 19))
+                                << "taps " << taps << " h " << h << " [" << k0 << ","
+                                << k1 << ") row " << k;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvolveKernel, TileSliversMatchReference) {
+    const ImageF low = signed_scene(34, 130, 21);
+    const ImageF high = signed_scene(34, 130, 23);
+    for (const int taps : kTaps) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (const BoundaryMode mode : kModes) {
+            const ColRef ref = column_reference(low, high, fp, mode);
+            // Slivers 1, 3, 17 and 40 columns wide at odd offsets, over
+            // output bands that touch both plane edges.
+            const std::pair<std::size_t, std::size_t> slivers[] = {
+                {0, 1}, {5, 3}, {33, 17}, {90, 40}};
+            const std::pair<std::size_t, std::size_t> bands[] = {{0, 3}, {4, 13}, {13, 17}};
+            for (const auto& [c0, tw] : slivers) {
+                for (const auto& [k0, k1] : bands) {
+                    const wavehpc::core::RowAccessor lo_at = [&, c0 = c0](std::size_t r) {
+                        return low.row(r).data() + c0;
+                    };
+                    const wavehpc::core::RowAccessor hi_at = [&, c0 = c0](std::size_t r) {
+                        return high.row(r).data() + c0;
+                    };
+                    ImageF ll = dirty(k1 - k0, tw), lh = dirty(k1 - k0, tw);
+                    ImageF hl = dirty(k1 - k0, tw), hh = dirty(k1 - k0, tw);
+                    wavehpc::core::analyze_cols_tile(lo_at, hi_at, 34, tw, fp, ll, lh, hl,
+                                                     hh, mode, DwtKernel::Convolve, k0, k1);
+                    for (std::size_t k = k0; k < k1; ++k) {
+                        const std::size_t j = k - k0;
+                        ASSERT_TRUE(same_bits(ll.row(j).data(), ref.ll.row(k).data() + c0, tw) &&
+                                    same_bits(lh.row(j).data(), ref.lh.row(k).data() + c0, tw) &&
+                                    same_bits(hl.row(j).data(), ref.hl.row(k).data() + c0, tw) &&
+                                    same_bits(hh.row(j).data(), ref.hh.row(k).data() + c0, tw))
+                            << "taps " << taps << " sliver " << c0 << "+" << tw << " row "
+                            << k;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvolveKernel, PreExtendedStripesMatchReference) {
+    // The mesh backend gathers a stripe's guard rows explicitly (a ZeroPad
+    // row outside the plane arrives as a row of zeros) and runs the column
+    // pass with no boundary mapping.
+    const std::size_t rows = 34;
+    const std::size_t cols = 21;
+    const ImageF low = signed_scene(rows, cols, 31);
+    const ImageF high = signed_scene(rows, cols, 37);
+    for (const int taps : kTaps) {
+        const FilterPair fp = FilterPair::daubechies(taps);
+        for (const BoundaryMode mode : kModes) {
+            const ColRef ref = column_reference(low, high, fp, mode);
+            for (const auto& [k0, k1] : {std::pair<std::size_t, std::size_t>{0, 5},
+                                         {5, 12},
+                                         {12, 17}}) {
+                const std::size_t ext_rows = 2 * (k1 - k0) + static_cast<std::size_t>(taps) - 2;
+                ImageF low_ext(ext_rows, cols), high_ext(ext_rows, cols);
+                for (std::size_t i = 0; i < ext_rows; ++i) {
+                    const std::size_t g = extend_index(
+                        static_cast<std::ptrdiff_t>(2 * k0 + i), rows, mode);
+                    if (g >= rows) continue;  // ZeroPad: the row stays zero
+                    std::copy(low.row(g).begin(), low.row(g).end(), low_ext.row(i).begin());
+                    std::copy(high.row(g).begin(), high.row(g).end(),
+                              high_ext.row(i).begin());
+                }
+                ImageF ll = dirty(k1 - k0, cols), lh = dirty(k1 - k0, cols);
+                ImageF hl = dirty(k1 - k0, cols), hh = dirty(k1 - k0, cols);
+                wavehpc::core::analyze_cols_ext_range(low_ext, high_ext, fp, ll, lh, hl, hh,
+                                                      0, k1 - k0);
+                for (std::size_t k = k0; k < k1; ++k) {
+                    const std::size_t j = k - k0;
+                    ASSERT_TRUE(same_bits(ll.row(j).data(), ref.ll.row(k).data(), cols) &&
+                                same_bits(lh.row(j).data(), ref.lh.row(k).data(), cols) &&
+                                same_bits(hl.row(j).data(), ref.hl.row(k).data(), cols) &&
+                                same_bits(hh.row(j).data(), ref.hh.row(k).data(), cols))
+                        << "taps " << taps << " mode " << static_cast<int>(mode)
+                        << " row " << k;
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvolveKernel, NegativeZeroWindowsSumToPositiveZero) {
+    // Haar's low-pass taps are both positive, so a window of -0.0f gives
+    // two -0.0f products; the reference's +0.0f start makes the sum +0.0f.
+    const FilterPair fp = FilterPair::daubechies(2);
+    const std::vector<float> x(16, -0.0F);
+    std::vector<float> lo(8, 1.0F), hi(8, 1.0F);
+    wavehpc::core::analyze_1d(x, fp, lo, hi, BoundaryMode::Periodic, DwtKernel::Convolve);
+    for (const float v : lo) EXPECT_FALSE(std::signbit(v));
 }
 
 // -------------------------------------------------- convolve/lifting parity

@@ -244,15 +244,70 @@ TEST(ThreadPool, MetricsCountTasksGroupsAndQueueDepth) {
     pool.reset_metrics();
     pool.parallel_for(0, 100, [](std::size_t, std::size_t) {});
     const auto m = pool.metrics();
-    EXPECT_EQ(m.tasks_executed, 4U);  // one chunk per worker
+    // Every range has run by the time parallel_for returns; helper tasks
+    // that found no range left count nothing, whenever they run.
+    EXPECT_EQ(m.tasks_executed, 4U);  // one range per worker
+    EXPECT_LE(m.helper_tasks, 4U);    // ranges the caller claimed itself
     EXPECT_EQ(m.groups_completed, 1U);
-    EXPECT_GE(m.queue_high_water, 1U);
-    EXPECT_LE(m.queue_high_water, 4U);
+    EXPECT_EQ(m.queue_high_water, 3U);  // one helper per range but the caller's
 
     pool.reset_metrics();
     const auto z = pool.metrics();
     EXPECT_EQ(z.tasks_executed, 0U);
     EXPECT_EQ(z.queue_high_water, 0U);
+}
+
+TEST(ThreadPool, ParallelForCompletesWhileEveryWorkerIsBlocked) {
+    // Both workers sit on gates, so no queued helper can run: the caller
+    // must claim and run every range of its loop itself.
+    ThreadPool pool(2);
+    std::promise<void> gate;
+    std::shared_future<void> opened(gate.get_future());
+    std::atomic<int> parked{0};
+    for (int w = 0; w < 2; ++w) {
+        pool.submit([opened, &parked] {
+            parked.fetch_add(1);
+            opened.wait();
+        });
+    }
+    while (parked.load() < 2) std::this_thread::yield();
+    std::atomic<std::size_t> covered{0};
+    auto loop = std::async(std::launch::async, [&] {
+        pool.parallel_for(0, 100, [&](std::size_t b, std::size_t e) {
+            covered.fetch_add(e - b);
+        });
+    });
+    const bool finished =
+        loop.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    gate.set_value();
+    loop.get();
+    EXPECT_TRUE(finished) << "parallel_for waited on blocked workers";
+    EXPECT_EQ(covered.load(), 100U);
+    pool.wait_idle();
+}
+
+TEST(ThreadPool, BackToBackSmallLoopsRunOnlyTheirOwnRanges) {
+    // Helpers of one loop may still be queued when the next loop starts;
+    // they must find their own loop exhausted and never run a range of the
+    // next one (whose shape differs, so a stray range shows up as a bad
+    // bound or a double hit).
+    ThreadPool pool(4);
+    std::atomic<int> current{-1};
+    std::atomic<int> strays{0};
+    for (int i = 0; i < 2000; ++i) {
+        const std::size_t n = 4 + static_cast<std::size_t>(i % 7);
+        std::vector<std::atomic<int>> hits(n);
+        current.store(i);
+        pool.parallel_for(0, n, [&, i, n](std::size_t b, std::size_t e) {
+            if (current.load() != i || e > n) {
+                strays.fetch_add(1);
+                return;
+            }
+            for (std::size_t k = b; k < e; ++k) hits[k].fetch_add(1);
+        });
+        for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "loop " << i;
+    }
+    EXPECT_EQ(strays.load(), 0);
 }
 
 TEST(ThreadPool, HighPrioritySubmitOvertakesQueuedNormalWork) {

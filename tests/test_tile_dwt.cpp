@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -179,6 +180,40 @@ TEST(TiledBitIdentity, StreamedSyntheticSceneMatchesMaterialized) {
         EXPECT_EQ(stats.bytes_in, 128U * 192U * 4U);
         EXPECT_GE(stats.seconds, stats.approx_seal_seconds);
     }
+}
+
+// The synthetic scene is part of every stream measurement and of the
+// bit-identity tests above, so its pixels are pinned: a 64-bit FNV-1a
+// digest over the float bits of small windows at 1-3 octaves and of one
+// 16384-column band at the default octave count.
+TEST(SyntheticSource, ReadRowsKnownAnswer) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto fold = [&h](std::span<const float> v) {
+        for (const float f : v) {
+            std::uint32_t bits = 0;
+            std::memcpy(&bits, &f, sizeof bits);
+            for (int b = 0; b < 4; ++b) {
+                h ^= (bits >> (8 * b)) & 0xffU;
+                h *= 0x100000001b3ULL;
+            }
+        }
+    };
+    for (const int octaves : {1, 2, 3}) {
+        wavehpc::tile::SyntheticTileSource src(300, 250, 17 + octaves, octaves);
+        for (const auto& [y0, n] : {std::pair<std::size_t, std::size_t>{0, 3},
+                                   {63, 5},
+                                   {128, 1},
+                                   {297, 3}}) {
+            std::vector<float> rows(n * src.cols());
+            src.read_rows(y0, n, rows);
+            fold(rows);
+        }
+    }
+    wavehpc::tile::SyntheticTileSource wide(64, 16384, 5);
+    std::vector<float> band(4 * wide.cols());
+    wide.read_rows(30, 4, band);
+    fold(band);
+    EXPECT_EQ(h, 0x614f175ee3c94a48ULL);
 }
 
 // ---------------------------------------------------------------------------
