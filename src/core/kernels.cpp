@@ -15,15 +15,16 @@ namespace {
 // Process-wide programmatic override; Auto = defer to the environment.
 std::atomic<DwtKernel> g_default_kernel{DwtKernel::Auto};
 
+// Unset or empty keeps Convolve; an unknown name throws like every
+// base::knob read instead of silently running a kernel nobody asked for.
 [[nodiscard]] DwtKernel env_kernel() {
     const std::string text = base::env_text("WAVEHPC_DWT_KERNEL");
     DwtKernel k = DwtKernel::Convolve;
-    if (!text.empty()) {
-        // Unrecognized values keep the safe default (documented in README).
-        (void)parse_dwt_kernel(text, k);
-        if (k == DwtKernel::Auto) k = DwtKernel::Convolve;
+    if (!text.empty() && !parse_dwt_kernel(text, k)) {
+        throw std::invalid_argument("WAVEHPC_DWT_KERNEL='" + text +
+                                    "' is not one of convolve, lifting, auto");
     }
-    return k;
+    return k == DwtKernel::Auto ? DwtKernel::Convolve : k;
 }
 
 void require_even(std::size_t n, const char* what) {
@@ -166,7 +167,7 @@ bool parse_dwt_kernel(std::string_view text, DwtKernel& out) noexcept {
     return true;
 }
 
-DwtKernel default_dwt_kernel() noexcept {
+DwtKernel default_dwt_kernel() {
     const DwtKernel k = g_default_kernel.load(std::memory_order_relaxed);
     return k == DwtKernel::Auto ? env_kernel() : k;
 }

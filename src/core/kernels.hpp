@@ -31,7 +31,9 @@
 // Selection: callers pass DwtKernel::Auto to defer to the process-wide
 // selector — set_default_dwt_kernel() if called, else the
 // WAVEHPC_DWT_KERNEL environment variable ("convolve" | "lifting"), else
-// Convolve. A Lifting request silently falls back to Convolve when no
+// Convolve. An unknown WAVEHPC_DWT_KERNEL value throws
+// std::invalid_argument naming the variable and the value, like every
+// base::knob read. A Lifting request silently falls back to Convolve when no
 // verified plan exists for the filter (never happens for the registered
 // Daubechies banks; pinned by test_kernels).
 
@@ -62,7 +64,8 @@ enum class DwtKernel : std::uint8_t {
 
 /// Process-wide kernel default used to resolve DwtKernel::Auto: the last
 /// set_default_dwt_kernel() value, else WAVEHPC_DWT_KERNEL, else Convolve.
-[[nodiscard]] DwtKernel default_dwt_kernel() noexcept;
+/// Throws std::invalid_argument when WAVEHPC_DWT_KERNEL names no kernel.
+[[nodiscard]] DwtKernel default_dwt_kernel();
 
 /// Programmatic selector (overrides the environment until reset). Passing
 /// DwtKernel::Auto clears the override and re-reads the environment.

@@ -1,9 +1,7 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
-#include <stdexcept>
 #include <utility>
 
 namespace wavehpc::runtime {
@@ -20,6 +18,44 @@ thread_local ThreadPool* tls_worker_pool = nullptr;
 thread_local bool tls_helping = false;
 
 }  // namespace
+
+std::string ParallelGroupError::describe(const std::vector<std::exception_ptr>& errors) {
+    std::string msg = std::to_string(errors.size()) + " parallel tasks failed";
+    if (!errors.empty()) {
+        try {
+            std::rethrow_exception(errors.front());
+        } catch (const std::exception& e) {
+            msg += std::string("; first: ") + e.what();
+        } catch (...) {
+            msg += "; first: <non-std exception>";
+        }
+    }
+    return msg;
+}
+
+ParallelGroupError::ParallelGroupError(std::vector<std::exception_ptr> errors)
+    : std::runtime_error(describe(errors)), errors_(std::move(errors)) {}
+
+/// Everything one parallel_for call shares with its helpers: the range
+/// counter, the latch over the ranges and their errors. Each helper holds
+/// the block by shared_ptr, so whenever it runs — even after the call
+/// returned — the block is alive; it then finds every range claimed and
+/// returns without touching `part`, which lives on the caller's stack.
+struct ThreadPool::ForkJoin {
+    std::atomic<std::size_t> next{0};  ///< next unclaimed range
+    std::size_t parts = 0;
+    const std::function<void(std::size_t)>* part = nullptr;
+
+    std::mutex mu;
+    std::condition_variable cv;
+    std::size_t pending = 0;                 ///< unfinished ranges; guarded by mu
+    std::vector<std::exception_ptr> errors;  ///< guarded by mu
+
+    bool finished() {
+        std::lock_guard lk(mu);
+        return pending == 0;
+    }
+};
 
 ThreadPool::ThreadPool(std::size_t workers) {
     if (workers == 0) {
@@ -60,36 +96,20 @@ void ThreadPool::worker_loop() {
             if (queues_empty()) return;  // stopping and drained
             task = pop_task();
             observer = task_observer_;
-            ++busy_;
         }
         if (observer) (*observer)();
         run_task(task);
-        {
-            std::lock_guard lk(mu_);
-            --busy_;
-            if (queues_empty() && busy_ == 0) cv_idle_.notify_all();
-        }
     }
 }
 
-void ThreadPool::run_task(Task& task) {
+// noexcept: a throwing submitted task has no join to reach, so it
+// terminates (documented) on a worker and on a helping waiter alike.
+void ThreadPool::run_task(Task& task) noexcept {
     if (task.counted) {
         tasks_executed_.fetch_add(1, std::memory_order_relaxed);
         if (tls_helping) helper_tasks_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (task.group == nullptr) {
-        // Plain submit(): no join exists to deliver an exception to, so a
-        // throw propagates out of the worker and terminates (documented).
-        task.fn();
-        return;
-    }
-    std::exception_ptr error;
-    try {
-        task.fn();
-    } catch (...) {
-        error = std::current_exception();
-    }
-    task.group->complete(std::move(error));
+    task.fn();
 }
 
 ThreadPool::Task ThreadPool::pop_task() {
@@ -107,42 +127,18 @@ bool ThreadPool::try_help_one() {
         if (queues_empty()) return false;
         task = pop_task();
         observer = task_observer_;
-        ++busy_;
     }
     if (observer) (*observer)();
     const bool was_helping = tls_helping;
     tls_helping = true;
     run_task(task);
     tls_helping = was_helping;
-    {
-        std::lock_guard lk(mu_);
-        --busy_;
-        if (queues_empty() && busy_ == 0) cv_idle_.notify_all();
-    }
     return true;
 }
 
-void ThreadPool::enqueue(Task task, TaskPriority priority) {
+void ThreadPool::enqueue(std::span<Task> tasks, TaskPriority priority) {
     {
         std::lock_guard lk(mu_);
-        assert(!stopping_ && "ThreadPool: submit after stop");
-        if (stopping_) {
-            throw std::logic_error(
-                "ThreadPool: submit on a stopping pool (task would be dropped)");
-        }
-        (priority == TaskPriority::High ? high_queue_ : queue_)
-            .push_back(std::move(task));
-        queue_high_water_ = std::max<std::uint64_t>(
-            queue_high_water_, queue_.size() + high_queue_.size());
-    }
-    cv_task_.notify_one();
-}
-
-void ThreadPool::enqueue_bulk(std::vector<Task>& tasks, TaskPriority priority) {
-    if (tasks.empty()) return;
-    {
-        std::lock_guard lk(mu_);
-        assert(!stopping_ && "ThreadPool: submit after stop");
         if (stopping_) {
             throw std::logic_error(
                 "ThreadPool: submit on a stopping pool (task would be dropped)");
@@ -152,72 +148,22 @@ void ThreadPool::enqueue_bulk(std::vector<Task>& tasks, TaskPriority priority) {
         queue_high_water_ = std::max<std::uint64_t>(
             queue_high_water_, queue_.size() + high_queue_.size());
     }
-    tasks.clear();
-    cv_task_.notify_all();
+    if (tasks.size() == 1) {
+        cv_task_.notify_one();
+    } else {
+        cv_task_.notify_all();
+    }
 }
 
 void ThreadPool::submit(std::function<void()> task, TaskPriority priority) {
-    enqueue(Task{std::move(task), nullptr}, priority);
-}
-
-void ThreadPool::submit(TaskGroup& group, std::function<void()> task,
-                        TaskPriority priority) {
-    group.add(1);
-    try {
-        enqueue(Task{std::move(task), &group}, priority);
-    } catch (...) {
-        group.complete(nullptr);  // re-balance the latch
-        throw;
-    }
-}
-
-void ThreadPool::wait(TaskGroup& group) {
-    if (tls_worker_pool == this) {
-        // Called from inside a worker: drain queued tasks while the group
-        // is outstanding so the occupied slot keeps making progress (a
-        // blocking wait here deadlocked the seed runtime on 1-worker pools
-        // and starved larger ones).
-        while (!group.finished()) {
-            if (!try_help_one()) {
-                // Queue empty: every remaining task of the group is already
-                // running on another worker; block until they signal.
-                group.wait_blocking();
-                break;
-            }
-        }
-    } else {
-        group.wait_blocking();
-    }
-    groups_completed_.fetch_add(1, std::memory_order_relaxed);
-    group.rethrow_if_error();
-}
-
-TaskGroup& ThreadPool::acquire_group() {
-    std::lock_guard lk(group_mu_);
-    if (free_groups_.empty()) {
-        group_storage_.push_back(std::make_unique<TaskGroup>());
-        free_groups_.push_back(group_storage_.back().get());
-    }
-    TaskGroup* g = free_groups_.back();
-    free_groups_.pop_back();
-    g->reset();
-    return *g;
-}
-
-void ThreadPool::release_group(TaskGroup& group) noexcept {
-    std::lock_guard lk(group_mu_);
-    free_groups_.push_back(&group);
-}
-
-void ThreadPool::wait_idle() {
-    std::unique_lock lk(mu_);
-    cv_idle_.wait(lk, [this] { return queues_empty() && busy_ == 0; });
+    Task t{std::move(task)};
+    enqueue({&t, 1}, priority);
 }
 
 void ThreadPool::run_parts(ForkJoin& fj, bool joining) {
     for (;;) {
         const std::size_t p = fj.next.fetch_add(1);
-        if (p >= fj.parts) return;  // none left: touch neither part nor group
+        if (p >= fj.parts) return;  // none left: `part` may be gone already
         tasks_executed_.fetch_add(1, std::memory_order_relaxed);
         if (joining || tls_helping) {
             helper_tasks_.fetch_add(1, std::memory_order_relaxed);
@@ -228,7 +174,9 @@ void ThreadPool::run_parts(ForkJoin& fj, bool joining) {
         } catch (...) {
             error = std::current_exception();
         }
-        fj.group->complete(std::move(error));
+        std::lock_guard lk(fj.mu);
+        if (error) fj.errors.push_back(std::move(error));
+        if (--fj.pending == 0) fj.cv.notify_all();
     }
 }
 
@@ -242,39 +190,35 @@ void ThreadPool::fork_join(std::size_t parts,
         part(0);
         return;
     }
-    TaskGroup& group = acquire_group();
-    group.add(parts);  // the latch counts ranges, not helper tasks
-    // The claim counter lives in a per-call block the helpers share, not in
-    // the recycled group: a helper dequeued after this call returned must
-    // find every range claimed, never a range of a later loop.
     const auto fj = std::make_shared<ForkJoin>();
     fj->parts = parts;
+    fj->pending = parts;  // the latch counts ranges, not helper tasks
     fj->part = &part;
-    fj->group = &group;
     std::vector<Task> helpers;
     helpers.reserve(parts - 1);
     for (std::size_t h = 0; h + 1 < parts; ++h) {
-        helpers.push_back(Task{[this, fj] { run_parts(*fj, false); }, nullptr, false});
+        helpers.push_back(Task{[this, fj] { run_parts(*fj, false); }, false});
     }
-    try {
-        enqueue_bulk(helpers);
-    } catch (...) {
-        // Refused (pool stopping): nothing was enqueued or claimed — balance
-        // the whole latch and hand the group back.
-        for (std::size_t p = 0; p < parts; ++p) group.complete(nullptr);
-        release_group(group);
-        throw;
-    }
+    enqueue(helpers, TaskPriority::Normal);  // refused: nothing queued or claimed
     // The caller works its own loop instead of sleeping: it claims ranges
-    // until none are left, then joins the ranges the helpers took.
+    // until none are left, then joins the ranges the helpers took. Inside a
+    // worker it drains queued tasks meanwhile, so the slot keeps making
+    // progress; once the queue is empty it blocks.
     run_parts(*fj, true);
-    try {
-        wait(group);
-    } catch (...) {
-        release_group(group);
-        throw;
+    if (tls_worker_pool == this) {
+        while (!fj->finished() && try_help_one()) {
+        }
     }
-    release_group(group);
+    std::vector<std::exception_ptr> errors;
+    {
+        std::unique_lock lk(fj->mu);
+        fj->cv.wait(lk, [&] { return fj->pending == 0; });
+        errors.swap(fj->errors);
+    }
+    groups_completed_.fetch_add(1, std::memory_order_relaxed);
+    if (errors.empty()) return;
+    if (errors.size() == 1) std::rethrow_exception(errors.front());
+    throw ParallelGroupError(std::move(errors));
 }
 
 void ThreadPool::parallel_for(std::size_t first, std::size_t last,
@@ -284,24 +228,6 @@ void ThreadPool::parallel_for(std::size_t first, std::size_t last,
     const std::size_t parts = std::min(n, workers());
     fork_join(parts, [&](std::size_t p) {
         fn(first + n * p / parts, first + n * (p + 1) / parts);
-    });
-}
-
-void ThreadPool::parallel_for_2d(
-    std::size_t row_first, std::size_t row_last, std::size_t col_first,
-    std::size_t col_last,
-    const std::function<void(std::size_t, std::size_t, std::size_t, std::size_t)>& fn) {
-    if (row_first >= row_last || col_first >= col_last) return;
-    const std::size_t nr = row_last - row_first;
-    const std::size_t nc = col_last - col_first;
-    const std::size_t row_parts = std::min(nr, workers());
-    const std::size_t col_parts =
-        std::min(nc, std::max<std::size_t>(1, workers() / row_parts));
-    fork_join(row_parts * col_parts, [&](std::size_t p) {
-        const std::size_t i = p / col_parts;
-        const std::size_t j = p % col_parts;
-        fn(row_first + nr * i / row_parts, row_first + nr * (i + 1) / row_parts,
-           col_first + nc * j / col_parts, col_first + nc * (j + 1) / col_parts);
     });
 }
 
@@ -334,21 +260,6 @@ void ThreadPool::reset_metrics() {
     idle_ns_.store(0, std::memory_order_relaxed);
     std::lock_guard lk(mu_);
     queue_high_water_ = 0;
-}
-
-ScopedTaskGroup::~ScopedTaskGroup() {
-    if (!joined_) {
-        try {
-            pool_.wait(*group_);
-        } catch (...) {  // NOLINT(bugprone-empty-catch) — dtor must not throw
-        }
-    }
-    pool_.release_group(*group_);
-}
-
-void ScopedTaskGroup::wait() {
-    joined_ = true;
-    pool_.wait(*group_);
 }
 
 }  // namespace wavehpc::runtime

@@ -920,12 +920,14 @@ ClusterCounters ShardCluster::counters() const {
 
 WireStats ShardCluster::wire_stats() const { return transport_.stats(); }
 
-MetricsSnapshot ShardCluster::fleet_metrics() const {
+template <typename Stats>
+Stats ShardCluster::fleet_merge(const Stats& retired,
+                                Stats (PyramidService::*read)() const) const {
     std::vector<std::shared_ptr<PyramidService>> live;
-    MetricsSnapshot fleet;
+    Stats fleet;
     {
         std::lock_guard lk(mu_);
-        fleet = retired_;
+        fleet = retired;
     }
     {
         std::lock_guard nk(nodes_mu_);
@@ -933,42 +935,20 @@ MetricsSnapshot ShardCluster::fleet_metrics() const {
             if (node.service) live.push_back(node.service);
         }
     }
-    for (const auto& svc : live) fleet.merge(svc->metrics());
+    for (const auto& svc : live) fleet.merge(((*svc).*read)());
     return fleet;
+}
+
+MetricsSnapshot ShardCluster::fleet_metrics() const {
+    return fleet_merge(retired_, &PyramidService::metrics);
 }
 
 CacheStats ShardCluster::fleet_cache_stats() const {
-    std::vector<std::shared_ptr<PyramidService>> live;
-    CacheStats fleet;
-    {
-        std::lock_guard lk(mu_);
-        fleet = retired_cache_;
-    }
-    {
-        std::lock_guard nk(nodes_mu_);
-        for (const Node& node : nodes_) {
-            if (node.service) live.push_back(node.service);
-        }
-    }
-    for (const auto& svc : live) fleet.merge(svc->cache_stats());
-    return fleet;
+    return fleet_merge(retired_cache_, &PyramidService::cache_stats);
 }
 
 ArenaStats ShardCluster::fleet_arena_stats() const {
-    std::vector<std::shared_ptr<PyramidService>> live;
-    ArenaStats fleet;
-    {
-        std::lock_guard lk(mu_);
-        fleet = retired_arena_;
-    }
-    {
-        std::lock_guard nk(nodes_mu_);
-        for (const Node& node : nodes_) {
-            if (node.service) live.push_back(node.service);
-        }
-    }
-    for (const auto& svc : live) fleet.merge(svc->arena_stats());
-    return fleet;
+    return fleet_merge(retired_arena_, &PyramidService::arena_stats);
 }
 
 void ShardCluster::shutdown() {

@@ -291,6 +291,12 @@ private:
     };
     [[nodiscard]] Ticket grab_ticket(ShardId shard);
 
+    /// The fleet_* views: `retired` (under mu_) merged with `read` of every
+    /// live service (refs taken under nodes_mu_, read with no lock held).
+    template <typename Stats>
+    [[nodiscard]] Stats fleet_merge(const Stats& retired,
+                                    Stats (PyramidService::*read)() const) const;
+
     /// An accepted request waiting for its compute to finish so the reply
     /// can cross the wire; the pump resolves `promise` with what the
     /// router received (or the local outcome on wire give-up).

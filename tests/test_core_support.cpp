@@ -10,6 +10,8 @@
 #include <iterator>
 #include <string>
 
+#include <unistd.h>
+
 #include "core/cost_model.hpp"
 #include "core/metrics.hpp"
 #include "core/pgm_io.hpp"
@@ -55,8 +57,15 @@ TEST(Metrics, EnergySumsSquares) {
 
 class PgmRoundTrip : public ::testing::Test {
 protected:
-    std::string path_ = (std::filesystem::temp_directory_path() /
-                         "wavehpc_test_img.pgm").string();
+    // One file per test and process: ctest runs every test as its own
+    // process, so under -j a shared name let one test's TearDown delete the
+    // file another test was reading.
+    std::string path_ =
+        (std::filesystem::temp_directory_path() /
+         ("wavehpc_test_img_" +
+          std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+          "_" + std::to_string(::getpid()) + ".pgm"))
+            .string();
     void TearDown() override { std::remove(path_.c_str()); }
 };
 

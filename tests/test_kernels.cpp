@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,7 +93,7 @@ TEST(KernelSelect, EnvironmentVariableDrivesAutoResolution) {
               DwtKernel::Lifting);
 
     ASSERT_EQ(::setenv("WAVEHPC_DWT_KERNEL", "bogus", 1), 0);
-    EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Convolve);
+    EXPECT_THROW((void)wavehpc::core::default_dwt_kernel(), std::invalid_argument);
 
     ASSERT_EQ(::unsetenv("WAVEHPC_DWT_KERNEL"), 0);
     EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Convolve);

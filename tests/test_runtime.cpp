@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <latch>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -73,12 +74,16 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
 }
 
 TEST(ThreadPool, SubmitAndWaitIdle) {
-    ThreadPool pool(2);
     std::atomic<int> count{0};
+    std::latch done(50);  // outlives the pool, so no task can touch it dead
+    ThreadPool pool(2);
     for (int i = 0; i < 50; ++i) {
-        pool.submit([&] { count.fetch_add(1); });
+        pool.submit([&] {
+            count.fetch_add(1);
+            done.count_down();
+        });
     }
-    pool.wait_idle();
+    done.wait();
     EXPECT_EQ(count.load(), 50);
 }
 
@@ -156,62 +161,6 @@ TEST(ThreadPool, NestedParallelForPropagatesInnerException) {
         std::runtime_error);
 }
 
-TEST(ThreadPool, ParallelFor2dCoversEveryCellExactlyOnce) {
-    ThreadPool pool(4);
-    constexpr std::size_t kRows = 37;
-    constexpr std::size_t kCols = 23;
-    std::vector<std::atomic<int>> hits(kRows * kCols);
-    pool.parallel_for_2d(0, kRows, 0, kCols,
-                         [&](std::size_t rb, std::size_t re, std::size_t cb,
-                             std::size_t ce) {
-                             for (std::size_t r = rb; r < re; ++r) {
-                                 for (std::size_t c = cb; c < ce; ++c) {
-                                     hits[r * kCols + c].fetch_add(1);
-                                 }
-                             }
-                         });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelFor2dEmptyRangeIsNoop) {
-    ThreadPool pool(2);
-    bool called = false;
-    pool.parallel_for_2d(3, 3, 0, 10,
-                         [&](std::size_t, std::size_t, std::size_t, std::size_t) {
-                             called = true;
-                         });
-    pool.parallel_for_2d(0, 10, 5, 5,
-                         [&](std::size_t, std::size_t, std::size_t, std::size_t) {
-                             called = true;
-                         });
-    EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, ScopedTaskGroupJoinsAndRethrows) {
-    ThreadPool pool(3);
-    std::atomic<int> count{0};
-    {
-        wavehpc::runtime::ScopedTaskGroup group(pool);
-        for (int i = 0; i < 20; ++i) {
-            group.submit([&] { count.fetch_add(1); });
-        }
-        group.wait();
-        EXPECT_EQ(count.load(), 20);
-    }
-    {
-        wavehpc::runtime::ScopedTaskGroup group(pool);
-        group.submit([] { throw std::runtime_error("task boom"); });
-        EXPECT_THROW(group.wait(), std::runtime_error);
-    }
-    // A group abandoned without wait() must still join in the destructor.
-    std::atomic<int> late{0};
-    {
-        wavehpc::runtime::ScopedTaskGroup group(pool);
-        group.submit([&] { late.fetch_add(1); });
-    }
-    EXPECT_EQ(late.load(), 1);
-}
-
 // Regression: the seed silently enqueued tasks submitted after stopping_
 // was set and dropped them when the drained workers returned. submit must
 // reject instead.
@@ -260,14 +209,16 @@ TEST(ThreadPool, MetricsCountTasksGroupsAndQueueDepth) {
 TEST(ThreadPool, ParallelForCompletesWhileEveryWorkerIsBlocked) {
     // Both workers sit on gates, so no queued helper can run: the caller
     // must claim and run every range of its loop itself.
-    ThreadPool pool(2);
     std::promise<void> gate;
     std::shared_future<void> opened(gate.get_future());
     std::atomic<int> parked{0};
+    std::latch released(2);
+    ThreadPool pool(2);
     for (int w = 0; w < 2; ++w) {
-        pool.submit([opened, &parked] {
+        pool.submit([opened, &parked, &released] {
             parked.fetch_add(1);
             opened.wait();
+            released.count_down();
         });
     }
     while (parked.load() < 2) std::this_thread::yield();
@@ -283,7 +234,7 @@ TEST(ThreadPool, ParallelForCompletesWhileEveryWorkerIsBlocked) {
     loop.get();
     EXPECT_TRUE(finished) << "parallel_for waited on blocked workers";
     EXPECT_EQ(covered.load(), 100U);
-    pool.wait_idle();
+    released.wait();
 }
 
 TEST(ThreadPool, BackToBackSmallLoopsRunOnlyTheirOwnRanges) {
@@ -311,28 +262,30 @@ TEST(ThreadPool, BackToBackSmallLoopsRunOnlyTheirOwnRanges) {
 }
 
 TEST(ThreadPool, HighPrioritySubmitOvertakesQueuedNormalWork) {
-    using wavehpc::runtime::ScopedTaskGroup;
     using wavehpc::runtime::TaskPriority;
-    // One worker, blocked on a latch, so everything below queues behind it
+    // One worker, blocked on a gate, so everything below queues behind it
     // in a deterministic order; the High task must run before the three
     // Normal ones that were enqueued first.
-    ThreadPool pool(1);
     std::promise<void> gate;
     std::shared_future<void> opened(gate.get_future());
     std::vector<int> order;
     std::mutex order_mu;
+    std::latch recorded(4);
     auto record = [&](int id) {
-        std::lock_guard lk(order_mu);
-        order.push_back(id);
+        {
+            std::lock_guard lk(order_mu);
+            order.push_back(id);
+        }
+        recorded.count_down();
     };
-    ScopedTaskGroup group(pool);
-    group.submit([opened] { opened.wait(); });
+    ThreadPool pool(1);
+    pool.submit([opened] { opened.wait(); });
     for (int id = 0; id < 3; ++id) {
-        group.submit([&record, id] { record(id); });
+        pool.submit([&record, id] { record(id); });
     }
-    group.submit([&record] { record(99); }, TaskPriority::High);
+    pool.submit([&record] { record(99); }, TaskPriority::High);
     gate.set_value();
-    group.wait();
+    recorded.wait();
     ASSERT_EQ(order.size(), 4U);
     EXPECT_EQ(order[0], 99);
     EXPECT_EQ(order[1], 0);

