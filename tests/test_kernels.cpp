@@ -99,6 +99,22 @@ TEST(KernelSelect, EnvironmentVariableDrivesAutoResolution) {
     EXPECT_EQ(wavehpc::core::default_dwt_kernel(), DwtKernel::Convolve);
 }
 
+// Misconfiguration fails loudly: the error names the variable and the value
+// it rejected, so a typo in a job script is found from the message alone.
+TEST(KernelSelect, UnknownEnvironmentKernelErrorNamesVariableAndValue) {
+    set_default_dwt_kernel(DwtKernel::Auto);
+    ASSERT_EQ(::setenv("WAVEHPC_DWT_KERNEL", "liftnig", 1), 0);
+    try {
+        (void)wavehpc::core::default_dwt_kernel();
+        ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("WAVEHPC_DWT_KERNEL"), std::string::npos) << what;
+        EXPECT_NE(what.find("liftnig"), std::string::npos) << what;
+    }
+    ASSERT_EQ(::unsetenv("WAVEHPC_DWT_KERNEL"), 0);
+}
+
 TEST(KernelSelect, ProgrammaticOverrideBeatsEnvironment) {
     ASSERT_EQ(::setenv("WAVEHPC_DWT_KERNEL", "convolve", 1), 0);
     {

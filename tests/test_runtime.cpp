@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -127,6 +129,69 @@ TEST(ThreadPool, SingleChunkExceptionKeepsOriginalType) {
                                        throw std::invalid_argument("inline chunk");
                                    }),
                  std::invalid_argument);
+}
+
+// The documented static split: min(n, workers()) contiguous ranges that
+// tile [first, last) with sizes differing by at most one.
+TEST(ThreadPool, ParallelForSplitsIntoBalancedContiguousRanges) {
+    ThreadPool pool(4);
+    for (std::size_t n : {2U, 4U, 7U, 103U}) {
+        std::mutex mu;
+        std::vector<std::pair<std::size_t, std::size_t>> ranges;
+        pool.parallel_for(10, 10 + n, [&](std::size_t b, std::size_t e) {
+            std::lock_guard lk(mu);
+            ranges.emplace_back(b, e);
+        });
+        std::sort(ranges.begin(), ranges.end());
+        ASSERT_EQ(ranges.size(), std::min<std::size_t>(n, pool.workers())) << "n=" << n;
+        EXPECT_EQ(ranges.front().first, 10U) << "n=" << n;
+        EXPECT_EQ(ranges.back().second, 10U + n) << "n=" << n;
+        std::size_t lo = n;
+        std::size_t hi = 0;
+        for (std::size_t i = 0; i < ranges.size(); ++i) {
+            const auto [b, e] = ranges[i];
+            EXPECT_LT(b, e) << "n=" << n;
+            if (i > 0) EXPECT_EQ(ranges[i - 1].second, b) << "n=" << n;
+            lo = std::min(lo, e - b);
+            hi = std::max(hi, e - b);
+        }
+        EXPECT_LE(hi - lo, 1U) << "n=" << n;
+    }
+}
+
+TEST(ThreadPool, SingleRangeRunsInlineOnCaller) {
+    ThreadPool pool(4);
+    pool.reset_metrics();
+    std::thread::id ran_on;
+    pool.parallel_for(3, 4, [&](std::size_t b, std::size_t e) {
+        EXPECT_EQ(b, 3U);
+        EXPECT_EQ(e, 4U);
+        ran_on = std::this_thread::get_id();
+    });
+    EXPECT_EQ(ran_on, std::this_thread::get_id());
+    const auto m = pool.metrics();
+    EXPECT_EQ(m.tasks_executed, 1U);
+    EXPECT_EQ(m.groups_completed, 1U);
+    EXPECT_EQ(m.queue_high_water, 0U);  // nothing was queued
+}
+
+// A failed range must not cut the join short: parallel_for rethrows only
+// after every other range has finished, so no range can still be touching
+// the caller's state when the exception arrives.
+TEST(ThreadPool, FailedJoinWaitsForEveryOtherRange) {
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> finished(4);
+    EXPECT_THROW(pool.parallel_for(0, 4,
+                                   [&](std::size_t b, std::size_t) {
+                                       if (b == 0) throw std::runtime_error("first");
+                                       std::this_thread::sleep_for(
+                                           std::chrono::milliseconds(20));
+                                       finished[b].store(1);
+                                   }),
+                 std::runtime_error);
+    for (std::size_t i = 1; i < finished.size(); ++i) {
+        EXPECT_EQ(finished[i].load(), 1) << "range " << i << " outlived the join";
+    }
 }
 
 // Regression: the seed runtime deadlocked when a worker called parallel_for
