@@ -2,8 +2,10 @@
 // Pluggable float-buffer supply for the decomposition paths (ISSUE 8).
 //
 // The decompose loops allocate two kinds of buffers per level: transient
-// row-pass scratch (freed at the end of the level) and the subband planes
-// that outlive the call inside the returned Pyramid. Routing both through a
+// row-pass scratch (the serial level's two row-band planes, or one pair of
+// stripe planes per stripe of the threaded sweep, recycled at the end of
+// the level) and the subband planes that outlive the call inside the
+// returned Pyramid. Routing both through a
 // FloatBufferSource lets a caller substitute a recycling pool (svc's
 // BufferArena) without the core layer depending on the service layer; the
 // default HeapBufferSource preserves the historical new/delete behaviour

@@ -438,11 +438,45 @@ void lift_final(const float* __restrict u, const float* __restrict v, std::size_
     return idx < x.size() ? x[idx] : 0.0F;
 }
 
+// Two stages (4 taps): output k reads only pairs k and k+1, so the whole
+// ladder is one pass per output that recomputes pair k+1's stage-0 v instead
+// of storing it for the next output. Outputs [k0, k1) of the full signal
+// land at lo/hi[k - k0]; pair k+1 past the edge is extended exactly as the
+// stage sweep extends it. Same expressions as the ladder, so same bits.
+void lifting2_range(std::span<const float> x, const LiftingPlan& plan,
+                    float* __restrict lo, float* __restrict hi, BoundaryMode mode,
+                    std::size_t k0, std::size_t k1) {
+    const std::size_t half = x.size() / 2;
+    const float t0 = plan.shear[0];
+    const float t1 = plan.shear[1];
+    const float sl = plan.scale_lo;
+    const float sh = plan.scale_hi;
+    const float* __restrict xs = x.data();
+    const std::size_t direct_end = std::clamp(half - 1, k0, k1);  // pair k+1 in range
+    for (std::size_t k = k0; k < direct_end; ++k) {
+        const float u = xs[2 * k] + t0 * xs[2 * k + 1];
+        const float vn = xs[2 * k + 3] - t0 * xs[2 * k + 2];
+        lo[k - k0] = sl * (u + t1 * vn);
+        hi[k - k0] = sh * (vn - t1 * u);
+    }
+    for (std::size_t k = direct_end; k < k1; ++k) {
+        const auto i = static_cast<std::ptrdiff_t>(2 * k + 2);
+        const float u = xs[2 * k] + t0 * xs[2 * k + 1];
+        const float vn = ext_sample(x, i + 1, mode) - t0 * ext_sample(x, i, mode);
+        lo[k - k0] = sl * (u + t1 * vn);
+        hi[k - k0] = sh * (vn - t1 * u);
+    }
+}
+
 // One row (or one column signal) through the full lifting ladder, m >= 2.
 // u/v are caller scratch of at least half + m - 1 floats each.
 void lifting_row(std::span<const float> x, const LiftingPlan& plan,
                  std::span<float> lo, std::span<float> hi, BoundaryMode mode,
                  float* __restrict u, float* __restrict v) {
+    if (plan.stages() == 2) {
+        lifting2_range(x, plan, lo.data(), hi.data(), mode, 0, x.size() / 2);
+        return;
+    }
     const std::size_t n = x.size();
     const std::size_t half = n / 2;
     const std::size_t m = plan.stages();
@@ -515,6 +549,23 @@ void lift_col_strip(const float* __restrict e, const float* __restrict o,
     }
 }
 
+// Two stages (4 taps): output row k from strips k (e, o) and k+1 (en, on),
+// recomputing strip k+1's stage-0 v rather than carrying it in vprev.
+void lift2_col(const float* __restrict e, const float* __restrict o,
+               const float* __restrict en, const float* __restrict on, std::size_t w,
+               const LiftingPlan& plan, float* __restrict lo, float* __restrict hi) {
+    const float t0 = plan.shear[0];
+    const float t1 = plan.shear[1];
+    const float sl = plan.scale_lo;
+    const float sh = plan.scale_hi;
+    for (std::size_t c = 0; c < w; ++c) {
+        const float u = e[c] + t0 * o[c];
+        const float vn = on[c] - t0 * en[c];
+        lo[c] = sl * (u + t1 * vn);
+        hi[c] = sh * (vn - t1 * u);
+    }
+}
+
 // Column lifting for one source plane over output rows [k0, k1), written at
 // row k - out0 of out_lo (low-pass columns) and out_hi (high-pass columns);
 // row_at(i) is global source row i of a `width`-column plane with
@@ -535,8 +586,6 @@ void lifting_cols(const RowAt& row_at, std::size_t plane_rows, std::size_t width
     const std::size_t m = plan.stages();
     const std::size_t ext = m - 1;
     const std::size_t strips_end = k1 + ext;  // strip rows k0 .. strips_end-1
-    thread_local std::vector<float> vprev;
-    if (vprev.size() < ext * width) vprev.resize(ext * width);
     std::vector<float> zeros;  // lazily sized; ZeroPad rows only
     const auto polyphase = [&](std::size_t i, std::size_t parity) -> const float* {
         const std::size_t idx =
@@ -545,6 +594,16 @@ void lifting_cols(const RowAt& row_at, std::size_t plane_rows, std::size_t width
         if (zeros.size() != width) zeros.assign(width, 0.0F);
         return zeros.data();
     };
+    if (m == 2) {
+        for (std::size_t k = k0; k < k1; ++k) {
+            lift2_col(polyphase(k, 0), polyphase(k, 1), polyphase(k + 1, 0),
+                      polyphase(k + 1, 1), width, plan, out_lo.row(k - out0).data(),
+                      out_hi.row(k - out0).data());
+        }
+        return;
+    }
+    thread_local std::vector<float> vprev;
+    if (vprev.size() < ext * width) vprev.resize(ext * width);
     for (std::size_t li = strips_end; li-- > k0;) {
         const float* e = polyphase(li, 0);
         const float* o = polyphase(li, 1);
@@ -557,7 +616,6 @@ void lifting_cols(const RowAt& row_at, std::size_t plane_rows, std::size_t width
         float* lo = out_lo.row(li - out0).data();
         float* hi = out_hi.row(li - out0).data();
         switch (ext) {
-            case 1: lift_col_strip<1>(e, o, width, plan, 1, vprev.data(), lo, hi); break;
             case 2: lift_col_strip<2>(e, o, width, plan, 2, vprev.data(), lo, hi); break;
             case 3: lift_col_strip<3>(e, o, width, plan, 3, vprev.data(), lo, hi); break;
             default: lift_col_strip<0>(e, o, width, plan, ext, vprev.data(), lo, hi);
@@ -580,6 +638,10 @@ void lifting_cols(const RowAt& row_at, std::size_t plane_rows, std::size_t width
 void lifting_row_range(std::span<const float> x, const LiftingPlan& plan,
                        std::span<float> lo, std::span<float> hi, BoundaryMode mode,
                        std::size_t k0, std::size_t k1) {
+    if (plan.stages() == 2) {
+        lifting2_range(x, plan, lo.data(), hi.data(), mode, k0, k1);
+        return;
+    }
     const std::size_t half = x.size() / 2;
     const std::size_t m = plan.stages();
     const std::size_t ext = m - 1;
@@ -642,10 +704,13 @@ void analyze_1d(std::span<const float> x, const FilterPair& fp, std::span<float>
 
 void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, ImageF& hi,
                         BoundaryMode mode, DwtKernel kernel, std::size_t r0,
-                        std::size_t r1) {
+                        std::size_t r1, std::size_t out0) {
     require_even(in.cols(), "column count");
     const std::size_t half = in.cols() / 2;
-    if (lo.rows() != in.rows() || lo.cols() != half || hi.rows() != in.rows() ||
+    if (r0 > r1 || r1 > in.rows() || out0 > r0) {
+        throw std::invalid_argument("analyze_rows_range: bad row range");
+    }
+    if (lo.rows() < r1 - out0 || lo.cols() != half || hi.rows() < r1 - out0 ||
         hi.cols() != half) {
         throw std::invalid_argument("analyze_rows_range: bad band shape");
     }
@@ -656,7 +721,7 @@ void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, Imag
         if (fl.size() == 2) {
             for (std::size_t r = r0; r < r1; ++r) {
                 haar_row(in.row(r).data(), half, fl[0], fl[1], fh[0], fh[1],
-                         lo.row(r).data(), hi.row(r).data());
+                         lo.row(r - out0).data(), hi.row(r - out0).data());
             }
             return;
         }
@@ -665,14 +730,15 @@ void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, Imag
             std::vector<float> u(half + plan.stages() - 1);
             std::vector<float> v(half + plan.stages() - 1);
             for (std::size_t r = r0; r < r1; ++r) {
-                lifting_row(in.row(r), plan, lo.row(r), hi.row(r), mode, u.data(),
-                            v.data());
+                lifting_row(in.row(r), plan, lo.row(r - out0), hi.row(r - out0), mode,
+                            u.data(), v.data());
             }
             return;
         }
     }
     for (std::size_t r = r0; r < r1; ++r) {
-        convolve_row_range(in.row(r), fp, lo.row(r), hi.row(r), mode, 0, half);
+        convolve_row_range(in.row(r), fp, lo.row(r - out0), hi.row(r - out0), mode, 0,
+                           half);
     }
 }
 
@@ -768,14 +834,15 @@ void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
                        std::size_t plane_rows, std::size_t width,
                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                        ImageF& hh, BoundaryMode mode, DwtKernel kernel,
-                       std::size_t k0, std::size_t k1) {
+                       std::size_t k0, std::size_t k1, std::optional<std::size_t> out0) {
     require_even(plane_rows, "row count");
     const std::size_t half = plane_rows / 2;
-    if (k0 > k1 || k1 > half) {
+    const std::size_t origin = out0.value_or(k0);
+    if (k0 > k1 || k1 > half || origin > k0) {
         throw std::invalid_argument("analyze_cols_tile: bad output range");
     }
     for (const ImageF* out : {&ll, &lh, &hl, &hh}) {
-        if (out->rows() != k1 - k0 || out->cols() != width) {
+        if (out->rows() < k1 - origin || out->cols() != width) {
             throw std::invalid_argument("analyze_cols_tile: bad output shape");
         }
     }
@@ -786,22 +853,23 @@ void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
         const auto fh = fp.high();
         if (fl.size() == 2) {
             for (std::size_t k = k0; k < k1; ++k) {
+                const std::size_t o = k - origin;
                 haar_col(low_row(2 * k), low_row(2 * k + 1), width, fl[0], fl[1],
-                         fh[0], fh[1], ll.row(k - k0).data(), lh.row(k - k0).data());
+                         fh[0], fh[1], ll.row(o).data(), lh.row(o).data());
                 haar_col(high_row(2 * k), high_row(2 * k + 1), width, fl[0], fl[1],
-                         fh[0], fh[1], hl.row(k - k0).data(), hh.row(k - k0).data());
+                         fh[0], fh[1], hl.row(o).data(), hh.row(o).data());
             }
             return;
         }
         const LiftingPlan plan = build_lifting_plan(fp);
         if (plan.valid) {
-            lifting_cols(low_row, plane_rows, width, plan, ll, lh, mode, k0, k1, k0);
-            lifting_cols(high_row, plane_rows, width, plan, hl, hh, mode, k0, k1, k0);
+            lifting_cols(low_row, plane_rows, width, plan, ll, lh, mode, k0, k1, origin);
+            lifting_cols(high_row, plane_rows, width, plan, hl, hh, mode, k0, k1, origin);
             return;
         }
     }
     convolve_cols(low_row, high_row, plane_rows, false, width, fp, ll, lh, hl, hh, mode,
-                  k0, k1, k0);
+                  k0, k1, origin);
 }
 
 void analyze_level(const ImageF& in, const FilterPair& fp, ImageF& ll, ImageF& lh,

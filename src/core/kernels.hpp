@@ -39,6 +39,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -121,13 +122,15 @@ void analyze_1d(std::span<const float> x, const FilterPair& fp, std::span<float>
                 std::span<float> hi, BoundaryMode mode,
                 DwtKernel kernel = DwtKernel::Auto);
 
-/// Fused row analysis over rows [r0, r1): each input row is read once and
-/// produces its low- and high-pass decimated rows together. lo/hi must be
-/// (in.rows(), in.cols()/2). Threads backend parallelizes by row range;
-/// serial passes [0, rows).
+/// Fused row analysis over input rows [r0, r1): each input row is read once
+/// and produces its low- and high-pass decimated rows together, written at
+/// row r - out0 of lo/hi. lo/hi are in.cols()/2 wide with at least r1 - out0
+/// rows (out0 <= r0). The serial level passes [0, rows) into full planes;
+/// the threads backend's stripes pass the runs of rows a stripe reads into
+/// stripe scratch.
 void analyze_rows_range(const ImageF& in, const FilterPair& fp, ImageF& lo, ImageF& hi,
                         BoundaryMode mode, DwtKernel kernel, std::size_t r0,
-                        std::size_t r1);
+                        std::size_t r1, std::size_t out0 = 0);
 
 /// Fused column analysis over output rows [k0, k1): one sweep over the two
 /// row-band intermediates produces all four subbands. Outputs must be
@@ -170,17 +173,21 @@ void analyze_1d_range(std::span<const float> x, const FilterPair& fp,
 /// its ring buffer; tests back it with a plain ImageF.
 using RowAccessor = std::function<const float*(std::size_t)>;
 
-/// Fused column analysis of one tile: output rows [k0, k1) of a plane
-/// with `plane_rows` global row-band rows, over a `width`-column segment.
-/// Outputs are (k1-k0, width) and written at LOCAL row k-k0, each element
-/// once (prior contents do not matter). Row k touches global
-/// rows 2k .. 2k+taps-1 mapped through `mode`, so the accessors are only
-/// asked for rows the boundary maps into [0, plane_rows).
+/// Fused column analysis of one tile or stripe: output rows [k0, k1) of a
+/// plane with `plane_rows` global row-band rows, over a `width`-column
+/// segment. Output row k is written at row k - out0 of the outputs, each
+/// element once (prior contents do not matter); the outputs are `width`
+/// wide with at least k1 - out0 rows. out0 defaults to k0, the tile
+/// driver's local rows; the threads backend's stripes pass 0 and write the
+/// full subband planes. Row k touches global rows 2k .. 2k+taps-1 mapped
+/// through `mode`, so the accessors are only asked for rows the boundary
+/// maps into [0, plane_rows).
 void analyze_cols_tile(const RowAccessor& low_row, const RowAccessor& high_row,
                        std::size_t plane_rows, std::size_t width,
                        const FilterPair& fp, ImageF& ll, ImageF& lh, ImageF& hl,
                        ImageF& hh, BoundaryMode mode, DwtKernel kernel,
-                       std::size_t k0, std::size_t k1);
+                       std::size_t k0, std::size_t k1,
+                       std::optional<std::size_t> out0 = std::nullopt);
 
 /// Whole-level fused analysis (serial convenience): rows then columns.
 /// Allocates/reshapes the outputs as needed.

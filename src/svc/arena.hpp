@@ -7,8 +7,9 @@
 // steady state performs no heap allocation at all. Three return routes
 // feed the free lists:
 //
-//   * decompose recycles its transient row-pass scratch directly
-//     (core::FloatBufferSource::recycle) at the end of every level;
+//   * decompose recycles its transient stripe scratch and the previous
+//     level's LL directly (core::FloatBufferSource::recycle) at the end of
+//     every level;
 //   * finished results are wrapped by adopt(): a shared_ptr whose deleter
 //     harvests the pyramid's slabs when the LAST holder — the result
 //     cache, any number of waiters, a shard peer — releases it. Cache

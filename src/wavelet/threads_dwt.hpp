@@ -3,7 +3,7 @@
 // core::decompose, data-parallel over rows on the host thread pool. This is
 // the "modern node" backend — where the simulators model the 1996 machines,
 // this one actually runs in parallel. All arithmetic lives in the shared
-// kernel layer (core/kernels.hpp); this backend only owns the range splits.
+// kernel layer (core/kernels.hpp); this backend only owns the stripe splits.
 
 #include "core/dwt.hpp"
 #include "runtime/thread_pool.hpp"
@@ -21,19 +21,21 @@ namespace wavehpc::wavelet {
     core::DwtKernel kernel = core::DwtKernel::Auto);
 
 /// Fused batched decomposition (ISSUE 8): N same-shaped images share ONE
-/// row sweep and ONE column sweep per level, parallelized over the global
-/// index space [0, N*rows) — one pool dispatch amortizes the fork/join and
-/// chunk-enqueue overhead across the whole batch instead of paying it per
-/// request. Result i is bit-identical to decompose_parallel(*images[i], ...)
-/// and therefore to core::decompose: the fused sweep calls the identical
-/// kernel ranges per (image, row-range) cell, and every output coefficient
-/// is a fixed function of its own image's rows, so neither the fusion nor
-/// the chunking changes any accumulation order.
+/// stripe sweep per level, one parallel_for over one stripe of output rows
+/// per worker in the global index space [0, N*rows/2), so one pool dispatch
+/// amortizes the fork/join across the whole batch instead of paying it per
+/// request. A stripe runs the row pass over the input rows its outputs read
+/// (its own rows plus a taps-2 halo, recomputed rather than exchanged) into
+/// stripe scratch, then the column pass from that scratch into the subband
+/// planes. Result i is bit-identical to decompose_parallel(*images[i], ...)
+/// and therefore to core::decompose: every output coefficient is the same
+/// kernel expression of its own image's rows, wherever the stripes split.
 ///
 /// All images must be non-null with identical dimensions (throws
 /// std::invalid_argument otherwise). `pool` may be null for a serial batch.
-/// `buffers` (may be null = heap) supplies every scratch and subband
-/// buffer; transient intermediates are recycled back into it.
+/// `buffers` (may be null) supplies every scratch and subband buffer, and
+/// transient ones are recycled back into it; without it the subbands come
+/// from the heap and the stripe scratch from a cache on the calling thread.
 [[nodiscard]] std::vector<core::Pyramid> decompose_batch(
     const std::vector<const core::ImageF*>& images, const core::FilterPair& fp,
     int levels, core::BoundaryMode mode, runtime::ThreadPool* pool,

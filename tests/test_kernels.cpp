@@ -424,6 +424,64 @@ TEST(ConvolveKernel, NegativeZeroWindowsSumToPositiveZero) {
     for (const float v : lo) EXPECT_FALSE(std::signbit(v));
 }
 
+// The threads backend's stripes run the row pass over a run of source rows
+// into scratch (row r at r - out0) and the column pass straight into the
+// full subband planes (out0 = 0). Both must reproduce the full-plane sweeps
+// bit for bit, for every kernel.
+TEST(KernelOrigins, RowAndColumnRangesLandAtTheirOutputOrigin) {
+    const ImageF img = signed_scene(34, 38, 61);
+    for (const DwtKernel kernel : {DwtKernel::Convolve, DwtKernel::Lifting}) {
+        for (const int taps : kTaps) {
+            const FilterPair fp = FilterPair::daubechies(taps);
+            for (const BoundaryMode mode : kModes) {
+                ImageF lo = dirty(34, 19), hi = dirty(34, 19);
+                wavehpc::core::analyze_rows_range(img, fp, lo, hi, mode, kernel, 0, 34);
+                ImageF part_lo = dirty(9, 19), part_hi = dirty(9, 19);
+                wavehpc::core::analyze_rows_range(img, fp, part_lo, part_hi, mode, kernel,
+                                                  21, 30, 21);
+                for (std::size_t r = 21; r < 30; ++r) {
+                    const std::size_t j = r - 21;
+                    ASSERT_TRUE(same_bits(part_lo.row(j).data(), lo.row(r).data(), 19) &&
+                                same_bits(part_hi.row(j).data(), hi.row(r).data(), 19))
+                        << to_string(kernel) << " taps " << taps << " row " << r;
+                }
+                ImageF ll = dirty(17, 19), lh = dirty(17, 19);
+                ImageF hl = dirty(17, 19), hh = dirty(17, 19);
+                wavehpc::core::analyze_cols_range(lo, hi, fp, ll, lh, hl, hh, mode,
+                                                  kernel, 0, 17);
+                const wavehpc::core::RowAccessor lo_at = [&](std::size_t r) {
+                    return lo.row(r).data();
+                };
+                const wavehpc::core::RowAccessor hi_at = [&](std::size_t r) {
+                    return hi.row(r).data();
+                };
+                ImageF pll = dirty(17, 19), plh = dirty(17, 19);
+                ImageF phl = dirty(17, 19), phh = dirty(17, 19);
+                wavehpc::core::analyze_cols_tile(lo_at, hi_at, 34, 19, fp, pll, plh, phl,
+                                                 phh, mode, kernel, 5, 13, 0);
+                for (std::size_t k = 5; k < 13; ++k) {
+                    ASSERT_TRUE(same_bits(pll.row(k).data(), ll.row(k).data(), 19) &&
+                                same_bits(plh.row(k).data(), lh.row(k).data(), 19) &&
+                                same_bits(phl.row(k).data(), hl.row(k).data(), 19) &&
+                                same_bits(phh.row(k).data(), hh.row(k).data(), 19))
+                        << to_string(kernel) << " taps " << taps << " row " << k;
+                }
+                EXPECT_EQ(pll(4, 0), 12345.0F);  // rows outside [k0, k1) untouched
+                EXPECT_EQ(pll(13, 0), 12345.0F);
+            }
+        }
+    }
+    const FilterPair fp = FilterPair::daubechies(4);
+    const auto rows_into_9 = [&](std::size_t r0, std::size_t r1, std::size_t out0) {
+        ImageF lo = dirty(9, 19), hi = dirty(9, 19);
+        wavehpc::core::analyze_rows_range(img, fp, lo, hi, BoundaryMode::Periodic,
+                                          DwtKernel::Convolve, r0, r1, out0);
+    };
+    EXPECT_NO_THROW(rows_into_9(21, 30, 21));
+    EXPECT_THROW(rows_into_9(20, 30, 21), std::invalid_argument);  // origin past r0
+    EXPECT_THROW(rows_into_9(20, 30, 20), std::invalid_argument);  // 10 rows into 9
+}
+
 // -------------------------------------------------- convolve/lifting parity
 
 TEST(LiftingKernel, HaarMatchesConvolveBitExactly) {

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <exception>
 #include <future>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/metrics.hpp"
 #include "core/synthetic.hpp"
@@ -17,6 +21,7 @@
 namespace {
 
 using wavehpc::core::BoundaryMode;
+using wavehpc::core::DwtKernel;
 using wavehpc::core::FilterPair;
 using wavehpc::core::ImageF;
 using wavehpc::core::MappingPolicy;
@@ -277,6 +282,92 @@ INSTANTIATE_TEST_SUITE_P(
     PoolSizes, ThreadsDwtPoolSweep,
     ::testing::Values(std::size_t{1}, std::size_t{2},
                       std::max<std::size_t>(1, std::thread::hardware_concurrency())));
+
+// The stripe sweep: decompose_parallel splits each level's output rows into
+// one stripe per worker and recomputes each stripe's taps-2 halo rows of the
+// row pass. Every split must reproduce serial core::decompose byte for byte,
+// including levels where a stripe's halo wraps the plane more than once
+// (8x8 at 8 taps over 3 levels ends on a 2-row plane read through an 8-row
+// window) and non-square planes.
+[[nodiscard]] bool same_bytes(const ImageF& a, const ImageF& b) {
+    return a.rows() == b.rows() && a.cols() == b.cols() &&
+           std::memcmp(a.flat().data(), b.flat().data(), a.size() * sizeof(float)) == 0;
+}
+
+void expect_same_bytes(const Pyramid& a, const Pyramid& b, const std::string& tag) {
+    ASSERT_EQ(a.depth(), b.depth()) << tag;
+    for (std::size_t k = 0; k < a.depth(); ++k) {
+        EXPECT_TRUE(same_bytes(a.levels[k].lh, b.levels[k].lh)) << tag << " lh " << k;
+        EXPECT_TRUE(same_bytes(a.levels[k].hl, b.levels[k].hl)) << tag << " hl " << k;
+        EXPECT_TRUE(same_bytes(a.levels[k].hh, b.levels[k].hh)) << tag << " hh " << k;
+    }
+    EXPECT_TRUE(same_bytes(a.approx, b.approx)) << tag << " approx";
+}
+
+class ThreadsDwtStripeSplit : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ThreadsDwtStripeSplit, EveryKernelModeAndBankMatchesSerialBytes) {
+    wavehpc::runtime::ThreadPool pool(GetParam());
+    const std::pair<std::size_t, std::size_t> shapes[] = {{8, 8}, {24, 40}, {40, 24}};
+    for (const auto& [rows, cols] : shapes) {
+        const ImageF img = wavehpc::core::landsat_tm_like(rows, cols, 67 + rows);
+        for (const DwtKernel kernel : {DwtKernel::Convolve, DwtKernel::Lifting}) {
+            for (const int taps : {2, 4, 6, 8}) {
+                const FilterPair fp = FilterPair::daubechies(taps);
+                for (const auto mode : {BoundaryMode::Periodic, BoundaryMode::Symmetric,
+                                        BoundaryMode::ZeroPad}) {
+                    const Pyramid seq =
+                        wavehpc::core::decompose(img, fp, 3, mode, kernel);
+                    const Pyramid par = wavehpc::wavelet::decompose_parallel(
+                        img, fp, 3, mode, pool, kernel);
+                    expect_same_bytes(par, seq,
+                                      std::to_string(rows) + "x" + std::to_string(cols) +
+                                          " " + to_string(kernel) + " taps " +
+                                          std::to_string(taps) + " mode " +
+                                          std::to_string(static_cast<int>(mode)));
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, ThreadsDwtStripeSplit,
+                         ::testing::Values(std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                           std::size_t{4}, std::size_t{7}));
+
+// A batch's stripes run over the output rows of all its images at once.
+// Three images on 3 workers give one stripe per image; on 2 and 4 workers
+// stripes start and end inside an image and span the seams between images.
+TEST(ThreadsDwt, BatchStripesAcrossImageSeamsMatchSerialBytes) {
+    std::vector<ImageF> imgs;
+    for (std::uint64_t s = 0; s < 3; ++s) {
+        imgs.push_back(wavehpc::core::landsat_tm_like(24, 40, 71 + s));
+    }
+    const std::vector<const ImageF*> ptrs = {&imgs[0], &imgs[1], &imgs[2]};
+    for (const std::size_t workers : {std::size_t{3}, std::size_t{2}, std::size_t{4}}) {
+        wavehpc::runtime::ThreadPool pool(workers);
+        for (const DwtKernel kernel : {DwtKernel::Convolve, DwtKernel::Lifting}) {
+            for (const int taps : {4, 8}) {
+                const FilterPair fp = FilterPair::daubechies(taps);
+                for (const auto mode : {BoundaryMode::Periodic, BoundaryMode::Symmetric,
+                                        BoundaryMode::ZeroPad}) {
+                    const auto pyrs = wavehpc::wavelet::decompose_batch(ptrs, fp, 3, mode,
+                                                                        &pool, kernel);
+                    ASSERT_EQ(pyrs.size(), 3U);
+                    for (std::size_t i = 0; i < 3; ++i) {
+                        const Pyramid seq =
+                            wavehpc::core::decompose(imgs[i], fp, 3, mode, kernel);
+                        expect_same_bytes(
+                            pyrs[i], seq,
+                            std::to_string(workers) + " workers, image " +
+                                std::to_string(i) + " " + to_string(kernel) + " taps " +
+                                std::to_string(taps));
+                    }
+                }
+            }
+        }
+    }
+}
 
 // Regression for the seed deadlock: decompositions driven from inside a
 // worker of the same pool (nested parallel_for) must complete and match.
